@@ -54,6 +54,7 @@ from .models import (
     H2Spec,
     IsingSpec,
     MfiSpec,
+    RowNotTabulatedError,
     build_h2,
     build_ising,
     build_mfi,
@@ -706,8 +707,8 @@ def cmd_sweep(args) -> int:
                 Experiment(probe_doc, path.resolve().parent, probe_args)
             except ConfigError as exc:
                 # The first R row may simply be missing from the table;
-                # only reject configs whose failure is R-independent.
-                if "not tabulated" not in str(exc) and "coefficient" not in str(exc):
+                # every other failure is R-independent and rejects the config.
+                if not isinstance(exc.__cause__, RowNotTabulatedError):
                     raise
         else:
             probe_doc["model"] = dict(probe_doc["model"], instance_seed=int(values[0]))

@@ -50,7 +50,8 @@ class UnsupportedGeneratorError(ValueError):
 
 
 class FeedbackRunError(RuntimeError):
-    """A backend failed mid-run; `partial` holds the trace up to the failure."""
+    """A backend failed or broke its control bound mid-run; `partial`
+    holds the trace up to the failure."""
 
     def __init__(self, message: str, partial: "RunTrace"):
         super().__init__(message)
@@ -484,8 +485,8 @@ def run_fqae(
 
     All channels of layer k+1 are evaluated from the same |psi_k|
     (simultaneous update), then applied in channel order after the drift
-    step.  Backend failures raise FeedbackRunError with the partial
-    trace attached.
+    step.  Backend failures and controls beyond the a priori bound raise
+    FeedbackRunError with the partial trace attached.
     """
     if p_op.h0 != h0:
         raise ValueError("p_op was built over a different drift Hamiltonian")
@@ -598,9 +599,10 @@ def run_fqae(
         if bounds is not None:
             for q in range(r):
                 if abs(nxt[q]) > bounds[q] + CONTROL_BOUND_SLACK:
-                    raise AssertionError(
+                    raise FeedbackRunError(
                         f"controller bound violated at layer {k}, channel {q}: "
-                        f"|{nxt[q]}| > {bounds[q]}"
+                        f"|{nxt[q]}| > {bounds[q]}",
+                        _trace(controls),
                     )
         controls = tuple(nxt)
 

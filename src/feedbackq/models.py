@@ -94,6 +94,10 @@ def build_mfi(spec: MfiSpec) -> PauliSum:
     return PauliSum(terms, n=spec.n)
 
 
+class RowNotTabulatedError(LookupError):
+    """The coefficient table has no row for the requested bond length."""
+
+
 @dataclass(frozen=True)
 class H2Spec:
     """Two-qubit hydrogen Hamiltonian at one bond length.
@@ -126,7 +130,9 @@ class H2Spec:
             available.append(row_r)
             if abs(row_r - R) <= 1e-9:
                 return cls(row_r, tuple(float(row[c]) for c in _H2_COLUMNS))
-        raise LookupError(f"no coefficient row for R={R}; available: {sorted(available)}")
+        raise RowNotTabulatedError(
+            f"no coefficient row for R={R}; available: {sorted(available)}"
+        )
 
 
 def build_h2(spec: H2Spec) -> PauliSum:

@@ -13,7 +13,8 @@ are reproducible and independent of evaluation order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -24,14 +25,19 @@ from .states import StateVector, pauli_expectation, pauli_matrix_element
 _PARTS = ("real", "imag")
 
 
+@lru_cache(maxsize=1024)
+def _hash_key(text: str) -> int:
+    digest = hashlib.blake2s(text.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
 def _normalize_key(key) -> int:
     """Map one path component to a non-negative 64-bit integer."""
     if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
         value = int(key)
         if 0 <= value < 1 << 64:
             return value
-    digest = hashlib.blake2s(repr(key).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return _hash_key(repr(key))
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,10 @@ class ShotBudget:
     """Shots per estimated scalar plus the stream that pays for them.
 
     shots=None is the exact sentinel: estimators return the underlying
-    exact value untouched.  `path` is the split history; `split` extends
-    it, and `rng` opens a Philox stream keyed by (seed, path).
+    exact value untouched, so an exact budget never opens a stream and
+    `split` returns it unchanged.  Otherwise `path` is the split history;
+    `split` extends it, and `rng` opens a Philox stream keyed by
+    (seed, path).
     """
 
     shots: int | None
@@ -56,6 +64,8 @@ class ShotBudget:
         return self.shots is None
 
     def split(self, *key) -> "ShotBudget":
+        if self.shots is None:
+            return self
         extra = tuple(_normalize_key(k) for k in key)
         return ShotBudget(self.shots, self.seed, self.path + extra)
 

@@ -9,14 +9,20 @@ index permutation plus a phase: X and Y flip the targeted bits, while Z
 and Y contribute (-1) phases read off the input index.  Exponentials use
 the closed form exp(-i*t*O) = cos(t)*1 - i*sin(t)*O, valid because every
 Pauli string squares to the identity.
+
+The permutation and the phases are built once per string and kept as
+read-only kernel arrays: a gather index shared by every string with the
+same flip mask (int64, 8 bytes per amplitude) and an int8 sign vector
+(1 byte per amplitude).  `KERNEL_CACHE_BYTES` bounds what is kept.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,11 +31,12 @@ from .pauli import PauliSum, _check_ops
 NORM_TOL = 1e-9
 DENSE_QUBIT_LIMIT = 12
 DIAGONAL_QUBIT_LIMIT = 26
+KERNEL_CACHE_BYTES = 64 << 20
 
 
 @lru_cache(maxsize=None)
-def _string_masks(ops: str) -> Tuple[int, int, complex]:
-    """(flip mask, phase mask, i**n_Y) for one Pauli string."""
+def _string_masks(ops: str) -> Tuple[int, int, int]:
+    """(flip mask, phase mask, number of Y letters) for one Pauli string."""
     n = len(ops)
     xmask = 0
     zmask = 0
@@ -42,7 +49,7 @@ def _string_masks(ops: str) -> Tuple[int, int, complex]:
             zmask |= bit
         if letter == "Y":
             ny += 1
-    return xmask, zmask, 1j ** (ny % 4)
+    return xmask, zmask, ny
 
 
 @lru_cache(maxsize=32)
@@ -59,18 +66,79 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+class _KernelCache:
+    """Read-only kernel arrays under a byte budget, oldest evicted first.
+
+    Lookups take no lock; inserting takes one, so concurrent callers keep
+    the byte count exact.  An array larger than the whole budget is built
+    on every request and never kept.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._arrays: Dict[Hashable, np.ndarray] = {}
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, build: Callable[..., np.ndarray], *args) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is not None:
+            return arr
+        arr = build(*args)
+        arr.flags.writeable = False
+        if arr.nbytes <= self.max_bytes:
+            with self._lock:
+                if key not in self._arrays:
+                    self._arrays[key] = arr
+                    self._bytes += arr.nbytes
+                while self._bytes > self.max_bytes:
+                    self._bytes -= self._arrays.pop(next(iter(self._arrays))).nbytes
+        return arr
+
+
+_KERNELS = _KernelCache(KERNEL_CACHE_BYTES)
+
+
+def _build_gather(n: int, xmask: int) -> np.ndarray:
+    return _indices(n) ^ xmask
+
+
+def _build_signs(ops: str) -> np.ndarray:
+    xmask, zmask, ny = _string_masks(ops)
+    idx = _indices(len(ops))
+    sign = (1 - 2 * _parity((idx ^ xmask) & zmask)).astype(np.int8)
+    if ny % 4 >= 2:
+        np.negative(sign, out=sign)
+    return sign
+
+
+def _gather_index(n: int, xmask: int) -> np.ndarray:
+    """Source index of every output amplitude: out[i] reads amps[i ^ xmask]."""
+    return _KERNELS.get((n, xmask), _build_gather, n, xmask)
+
+
+def _signs(ops: str) -> np.ndarray:
+    """Real part of the string's phase per output amplitude, as int8 +/-1.
+
+    The phase of output i is i**n_Y * (-1)**popcount((i ^ xmask) & zmask);
+    an odd Y count leaves a factor 1j that callers apply separately.
+    """
+    return _KERNELS.get(ops, _build_signs, ops)
+
+
 def _pauli_action(amps: np.ndarray, ops: str, n: int) -> np.ndarray:
     """Return O|psi> as a fresh amplitude array."""
-    xmask, zmask, ipow = _string_masks(ops)
-    idx = _indices(n)
-    src = idx ^ xmask if xmask else idx
-    if zmask:
-        sign = 1.0 - 2.0 * _parity(src & zmask)
-        out = (ipow * sign) * amps[src]
-    elif xmask:
-        out = ipow * amps[src]
+    xmask, zmask, ny = _string_masks(ops)
+    if xmask:
+        out = amps[_gather_index(n, xmask)]
+        if zmask:
+            out *= _signs(ops)
+    elif zmask:
+        out = amps * _signs(ops)
     else:
         out = amps.copy()
+    if ny % 2:
+        out *= 1j
     return out
 
 
@@ -229,12 +297,10 @@ def diagonal_values(h: PauliSum) -> np.ndarray:
         raise ValueError("diagonal_values requires an I/Z-only sum")
     if h.n > DIAGONAL_QUBIT_LIMIT:
         raise ValueError(f"diagonal path supports n <= {DIAGONAL_QUBIT_LIMIT}")
-    idx = _indices(h.n)
-    diag = np.zeros(idx.size, dtype=np.float64)
+    diag = np.zeros(1 << h.n, dtype=np.float64)
     for ops, coeff in h.items():
-        _, zmask, _ = _string_masks(ops)
-        if zmask:
-            diag += coeff.real * (1.0 - 2.0 * _parity(idx & zmask))
+        if _string_masks(ops)[1]:
+            diag += coeff.real * _signs(ops)
         else:
             diag += coeff.real
     return diag
@@ -248,12 +314,12 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
     idx = _indices(h.n)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for ops, coeff in h.items():
-        xmask, zmask, ipow = _string_masks(ops)
-        rows = idx ^ xmask if xmask else idx
-        vals = np.full(dim, coeff * ipow, dtype=np.complex128)
+        xmask, zmask, ny = _string_masks(ops)
+        vals = np.full(dim, coeff * 1j if ny % 2 else coeff, dtype=np.complex128)
         if zmask:
-            vals *= 1.0 - 2.0 * _parity(idx & zmask)
-        mat[rows, idx] += vals
+            vals *= _signs(ops)
+        cols = _gather_index(h.n, xmask) if xmask else idx
+        mat[idx, cols] += vals
     return mat
 
 

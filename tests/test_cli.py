@@ -236,6 +236,48 @@ def test_sweep_r_axis_records_missing_rows_as_nan(tmp_path):
     assert summary["failed_points"] == 1
 
 
+def test_sweep_r_axis_rejects_missing_table(tmp_path):
+    """Only a missing R row is tolerated; a missing table is a config error."""
+    doc = {
+        "seed": 1,
+        "model": {"family": "h2", "R": 1.05, "table": "no_such_table.csv"},
+        "controls": "y_per_qubit",
+        "initial_state": "01",
+        "target": 1,
+        "alpha": {"strategy": "fixed", "values": [1.8]},
+        "feedback": {"dt": 0.55, "gains": [1.0, 1.0], "depth": 5},
+        "sweep": {"axis": "R", "values": [1.05, 2.0]},
+    }
+    cfg = write_doc(tmp_path, doc)
+    out = str(tmp_path / "rsweep")
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert not (tmp_path / "rsweep_sweep.csv").exists()
+
+    doc["model"].pop("table")
+    doc["sweep"]["values"] = [2.0, 1.05]
+    cfg = write_doc(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = read_rows(tmp_path / "rsweep_sweep.csv")
+    missing, tabulated = (dict(zip(rows[0], row)) for row in rows[1:])
+    assert float(missing["value"]) == 2.0 and missing["mean_fidelity"] == "nan"
+    assert float(tabulated["value"]) == 1.05
+    assert 0.0 <= float(tabulated["mean_fidelity"]) <= 1.0
+
+
+def test_control_bound_violation_exits_with_partial_trace(tmp_path, monkeypatch):
+    from feedbackq import feedback
+
+    monkeypatch.setattr(feedback, "_controller_from_pieces", lambda *args: 1e6)
+    cfg = write_doc(tmp_path, bench_doc())
+    out = str(tmp_path / "bound")
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_RUNTIME
+    rows = read_rows(tmp_path / "bound_trace.csv")
+    assert len(rows) == 2
+    summary = json.loads((tmp_path / "bound_summary.json").read_text())
+    assert "bound violated" in summary["error"]
+    assert summary["layers_completed"] == 1
+
+
 def test_sweep_seed_axis_runs_instances(tmp_path):
     doc = {
         "seed": 3,

@@ -185,6 +185,48 @@ def test_sampled_run_reproducible():
     assert not np.array_equal(a.controls, c.controls)
 
 
+def test_sampled_controls_are_pinned():
+    """First controls of a seeded overlap_hadamard run, hard-coded."""
+    cfg = bench_config(
+        depth=3,
+        backend="overlap_hadamard",
+        budget=ShotBudget(200, seed=derive_seed(5, "shots")),
+    )
+    trace = run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), cfg)
+    assert trace.controls.tolist() == [
+        [0.0, 0.0],
+        [-1.7930999999999986, 1.857],
+        [-5.6661, 2.381999999999999],
+    ]
+    assert trace.final_controls == (-3.389999999999999, 2.2713)
+    assert trace.lyapunov.tolist() == [1.7499999999999996, 1.3808352095321699, 0.16995661472754348]
+
+
+@pytest.mark.parametrize("backend", ["overlap_hadamard", "grad_fd", "grad_psr"])
+def test_exact_budget_seed_does_not_matter(backend):
+    """An exact budget never opens a stream, whatever its seed."""
+    def run(budget):
+        cfg = bench_config(depth=15, backend=backend, budget=budget)
+        return run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), cfg)
+
+    a, b = run(ShotBudget(None, seed=123)), run(EXACT)
+    assert np.array_equal(a.controls, b.controls)
+    assert np.array_equal(a.lyapunov, b.lyapunov)
+    assert np.array_equal(a.final_state.amps, b.final_state.amps)
+    if backend == "overlap_hadamard":
+        exact = run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=15))
+        assert np.array_equal(a.controls, exact.controls)
+
+
+def test_control_bound_violation_carries_partial_trace(monkeypatch):
+    from feedbackq import feedback
+
+    monkeypatch.setattr(feedback, "_controller_from_pieces", lambda *args: 1e6)
+    with pytest.raises(FeedbackRunError, match="bound violated at layer 1") as info:
+        run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=5))
+    assert info.value.partial.depth == 1
+
+
 def test_sampled_run_still_descends():
     """Shot noise at m=1000 must not break the two-qubit descent."""
     cfg = bench_config(

@@ -1,0 +1,138 @@
+"""Cached Pauli-string kernels against the dense Kronecker oracles.
+
+Every check runs twice on the same inputs, so the second call is served
+from the kernel cache, and scribbles over the first result in between:
+a returned array must never alias the input state or a cached buffer.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from feedbackq import (
+    PauliSum,
+    StateVector,
+    dense_matrix,
+    diagonal_values,
+    expectation,
+    pauli_matrix_element,
+)
+from feedbackq import states
+from feedbackq.states import apply_pauli
+
+from _oracles import dense_string, dense_sum, random_state
+
+ATOL = 1e-12
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+qubits = st.integers(1, 8)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def strings(n, letters="IXYZ"):
+    return st.text(letters, min_size=n, max_size=n)
+
+
+def string_lists(letters="IXYZ"):
+    return qubits.flatmap(lambda n: st.lists(strings(n, letters), min_size=1, max_size=6))
+
+
+def _state(rng, n):
+    return StateVector.from_amplitudes(random_state(rng, n))
+
+
+def _sum(rng, ops_list):
+    terms = [(ops, float(rng.uniform(-2.0, 2.0))) for ops in ops_list]
+    return PauliSum(terms), terms
+
+
+@PROPERTY
+@given(ops=qubits.flatmap(strings), seed=seeds)
+def test_apply_pauli_matches_dense(ops, seed):
+    state = _state(np.random.default_rng(seed), len(ops))
+    before = state.amps.copy()
+    want = dense_string(ops) @ before
+    first = apply_pauli(state, ops)
+    np.testing.assert_allclose(first, want, rtol=0, atol=ATOL)
+    assert not np.shares_memory(first, state.amps)
+    first[:] = 7.0
+    again = apply_pauli(state, ops)
+    np.testing.assert_allclose(again, want, rtol=0, atol=ATOL)
+    assert np.array_equal(state.amps, before)
+
+
+@PROPERTY
+@given(ops=qubits.flatmap(strings), seed=seeds)
+def test_matrix_element_matches_dense(ops, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _state(rng, len(ops)), _state(rng, len(ops))
+    want = complex(np.vdot(a.amps, dense_string(ops) @ b.amps))
+    for _ in range(2):
+        assert pauli_matrix_element(a, ops, b) == pytest.approx(want, abs=ATOL)
+
+
+@PROPERTY
+@given(ops_list=string_lists(), seed=seeds)
+def test_expectation_matches_dense(ops_list, seed):
+    rng = np.random.default_rng(seed)
+    h, terms = _sum(rng, ops_list)
+    state = _state(rng, h.n)
+    want = float(np.vdot(state.amps, dense_sum(terms) @ state.amps).real)
+    for _ in range(2):
+        assert expectation(state, h) == pytest.approx(want, abs=1e-11)
+
+
+@PROPERTY
+@given(ops_list=string_lists("IZ"), seed=seeds)
+def test_diagonal_values_match_dense(ops_list, seed):
+    h, terms = _sum(np.random.default_rng(seed), ops_list)
+    want = np.diag(dense_sum(terms)).real
+    first = diagonal_values(h)
+    np.testing.assert_allclose(first, want, rtol=0, atol=ATOL)
+    first[:] = 7.0
+    np.testing.assert_allclose(diagonal_values(h), want, rtol=0, atol=ATOL)
+
+
+@PROPERTY
+@given(ops_list=string_lists(), seed=seeds)
+def test_dense_matrix_matches_dense(ops_list, seed):
+    h, terms = _sum(np.random.default_rng(seed), ops_list)
+    want = dense_sum(terms)
+    first = dense_matrix(h)
+    np.testing.assert_allclose(first, want, rtol=0, atol=ATOL)
+    first[:] = 7.0
+    np.testing.assert_allclose(dense_matrix(h), want, rtol=0, atol=ATOL)
+
+
+def test_cached_kernels_are_read_only():
+    for arr in (states._signs("XYZ"), states._gather_index(3, 0b110)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_budget_smaller_than_a_kernel_still_computes(monkeypatch):
+    """A kernel that does not fit the byte budget is rebuilt, never kept."""
+    tiny = states._KernelCache(max_bytes=64)
+    monkeypatch.setattr(states, "_KERNELS", tiny)
+    rng = np.random.default_rng(8)
+    state = _state(rng, 8)
+    for ops in ("XYZIZYXI", "ZZIIZZII", "XYZIZYXI"):
+        want = dense_string(ops) @ state.amps
+        np.testing.assert_allclose(apply_pauli(state, ops), want, rtol=0, atol=ATOL)
+    assert tiny._bytes == 0 and not tiny._arrays
+
+
+def test_kernel_cache_evicts_oldest_first():
+    cache = states._KernelCache(max_bytes=24)
+
+    def build(v):
+        return np.full(8, v, dtype=np.int8)
+
+    for key in ("a", "b", "c"):
+        cache.get(key, build, ord(key))
+    assert cache.get("a", build, 0)[0] == ord("a")  # a hit, never rebuilt
+    cache.get("d", build, ord("d"))
+    assert list(cache._arrays) == ["b", "c", "d"]
+    assert cache._bytes == 24

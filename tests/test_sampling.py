@@ -40,6 +40,25 @@ def test_split_streams_are_independent_and_deterministic():
     assert not np.allclose(a1, b)
 
 
+def test_split_stream_draws_are_pinned():
+    """Hard-coded draws: a change to key hashing or stream keying shows here."""
+    draws = ShotBudget(500, seed=9).split("layer", 3).rng().random(4)
+    assert draws.tolist() == [
+        0.9265362351915336,
+        0.057713708542594166,
+        0.12314436471951551,
+        0.17563748202327167,
+    ]
+
+
+def test_exact_budget_split_is_the_budget_itself():
+    budget = ShotBudget(None, seed=123)
+    assert budget.split("comm", 4).split(2, 1) is budget
+    assert EXACT.split("ctrl", 0, 1, 0) is EXACT
+    sampled = ShotBudget(10, seed=123)
+    assert sampled.split("comm", 4).path != sampled.path
+
+
 def test_string_keys_hash_stably():
     s1 = derive_seed(7, "ctrl", 0)
     s2 = derive_seed(7, "ctrl", 0)
