@@ -64,7 +64,6 @@ from .feedback import (
     alpha_from_bound,
     alpha_iterative,
     controller_diagonal_fastpath,
-    controller_exact,
     controller_grad_fd,
     controller_grad_psr,
     controller_overlap_sampled,

@@ -23,13 +23,13 @@ Exit codes: 0 success, 1 runtime failure (partial trace flushed),
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -197,20 +197,13 @@ def parse_feedback(
         shots = shots_override
     budget = ShotBudget(None if shots is None else int(shots), seed=derive_seed(seed, "shots"))
 
-    gains = spec.get("gains")
-    if gains is None:
-        gains = (1.0,) * channels
-    elif isinstance(gains, (int, float)):
-        gains = (float(gains),) * channels
-    else:
-        gains = tuple(float(g) for g in gains)
     initial = spec.get("initial_controls")
     if initial is not None:
         initial = tuple(float(u) for u in initial)
     try:
         return FeedbackConfig(
             dt=float(_require(spec, "dt", "'feedback'")),
-            gains=gains,
+            gains=_parse_gains(spec.get("gains"), channels),
             depth=int(_require(spec, "depth", "'feedback'")),
             backend=str(spec.get("backend", "exact")),
             initial_controls=initial,
@@ -224,6 +217,18 @@ def parse_feedback(
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid feedback settings: {exc}") from exc
+
+
+def _parse_gains(value, channels: int) -> Tuple[float, ...]:
+    """One gain per channel from null (all 1.0), a number or a list."""
+    if value is None:
+        return (1.0,) * channels
+    if isinstance(value, (int, float)):
+        return (float(value),) * channels
+    gains = tuple(float(g) for g in value)
+    if len(gains) != channels:
+        raise ValueError(f"{channels} control channels need exactly {channels} gains")
+    return gains
 
 
 def _opt_float(spec: dict, key: str) -> Optional[float]:
@@ -362,12 +367,18 @@ class Experiment:
         return ShiftedOperator(self.h0, shifts)
 
 
-def _run_target(exp: Experiment, alphas: Sequence[float], reference) -> RunTrace:
+def _run_target(exp: Experiment, reference) -> Tuple[List[float], RunTrace]:
+    """Resolve the config's alpha strategy, then run toward the target."""
     track = [pair[1] for pair in reference]
-    if not alphas:
-        return run_falqon(exp.h0, exp.controls, exp.psi0, exp.config, track_states=track)
-    p_op = exp.shifted_operator(alphas, reference)
-    return run_fqae(exp.h0, exp.controls, p_op, exp.psi0, exp.config, track_states=track)
+
+    def run(alphas: Sequence[float]) -> RunTrace:
+        if not alphas:
+            return run_falqon(exp.h0, exp.controls, exp.psi0, exp.config, track_states=track)
+        p_op = exp.shifted_operator(alphas, reference)
+        return run_fqae(exp.h0, exp.controls, p_op, exp.psi0, exp.config, track_states=track)
+
+    alphas = resolve_alphas(exp.doc, exp.h0, exp.target, run, reference)
+    return alphas, run(alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +395,7 @@ def cmd_run(args) -> int:
 
     started = time.perf_counter()
     try:
-        alphas = resolve_alphas(
-            doc, exp.h0, exp.target, lambda a: _run_target(exp, a, reference), reference
-        )
-        trace = _run_target(exp, alphas, reference)
+        alphas, trace = _run_target(exp, reference)
     except FeedbackRunError as exc:
         write_trace_csv(trace_path, exc.partial, tracked)
         _write_json(
@@ -444,36 +452,18 @@ def _stage_overrides(doc: dict, exp: Experiment, count: int):
             raise ConfigError("each 'stages' entry must be an object")
         states.append(parse_initial_state(entry.get("initial_state"), exp.n))
         cfg = exp.config
-        merged = dict(
-            dt=float(entry.get("dt", cfg.dt)),
-            depth=int(entry.get("depth", cfg.depth)),
-            trotter_slices=int(entry.get("trotter_slices", cfg.trotter_slices)),
-        )
         gains = entry.get("gains")
-        if gains is not None:
-            merged["gains"] = (
-                (float(gains),) * len(cfg.gains)
-                if isinstance(gains, (int, float))
-                else tuple(float(g) for g in gains)
-            )
         try:
             configs.append(
-                FeedbackConfig(
-                    dt=merged["dt"],
-                    gains=merged.get("gains", cfg.gains),
-                    depth=merged["depth"],
-                    backend=cfg.backend,
-                    initial_controls=cfg.initial_controls,
-                    budget=cfg.budget,
-                    epsilon=cfg.epsilon,
-                    psr_literal=cfg.psr_literal,
-                    trotter_slices=merged["trotter_slices"],
-                    stop_control_threshold=cfg.stop_control_threshold,
-                    stop_value_threshold=cfg.stop_value_threshold,
-                    abort_on_increase=cfg.abort_on_increase,
+                replace(
+                    cfg,
+                    dt=float(entry.get("dt", cfg.dt)),
+                    depth=int(entry.get("depth", cfg.depth)),
+                    trotter_slices=int(entry.get("trotter_slices", cfg.trotter_slices)),
+                    gains=cfg.gains if gains is None else _parse_gains(gains, len(cfg.gains)),
                 )
             )
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid stage override: {exc}") from exc
     return (lambda s: states[s]), (lambda s: configs[s])
 
@@ -553,53 +543,28 @@ def cmd_spectrum(args) -> int:
 # sweep
 
 
+# Sweep axes that rewrite one model field, with the field and its type.
+MODEL_AXES = {"R": ("R", float), "seed": ("instance_seed", int)}
+
+
+def _point_experiment(payload: dict) -> Experiment:
+    """The experiment of one point on a model-field axis."""
+    doc = payload["doc"]
+    key, cast = MODEL_AXES[payload["axis"]]
+    model = dict(_require(doc, "model", "config"), **{key: cast(payload["value"])})
+    point_doc = dict(doc, model=model)
+    args = argparse.Namespace(seed=None, shots=payload["shots"], exact=payload["exact"], out=None)
+    return Experiment(point_doc, Path(payload["base_dir"]), args)
+
+
 def _sweep_point(payload: dict) -> dict:
     """Run one sweep point in a worker process; never raises."""
-    doc = payload["doc"]
     axis = payload["axis"]
     value = payload["value"]
     try:
-        args = argparse.Namespace(seed=None, shots=None, exact=False, out=None)
-        point_doc = copy.deepcopy(doc)
-        seed = int(point_doc.get("seed", 0))
-        sweep = point_doc.get("sweep", {})
-        depth_default = point_doc.get("feedback", {}).get("depth", 500)
-
-        if axis == "R":
-            point_doc["model"] = dict(point_doc["model"], R=value)
-            exp = Experiment(point_doc, Path(payload["base_dir"]), args)
-            reference = exp.reference(exp.target + 1)
-            alphas = resolve_alphas(
-                point_doc,
-                exp.h0,
-                exp.target,
-                lambda a: _run_target(exp, a, reference),
-                reference,
-            )
-            trace = _run_target(exp, alphas, reference)
-            fid = float(trace.fidelities[-1, exp.target])
-            return {
-                "axis": axis,
-                "value": value,
-                "instances": 1,
-                "dt": exp.config.dt,
-                "mean_fidelity": fid,
-                "fidelity_se": 0.0,
-                "mean_energy": float(trace.energy[-1]),
-            }
-
-        if axis == "seed":
-            point_doc["model"] = dict(point_doc["model"], instance_seed=int(value))
-            exp = Experiment(point_doc, Path(payload["base_dir"]), args)
-            reference = exp.reference(exp.target + 1)
-            alphas = resolve_alphas(
-                point_doc,
-                exp.h0,
-                exp.target,
-                lambda a: _run_target(exp, a, reference),
-                reference,
-            )
-            trace = _run_target(exp, alphas, reference)
+        if axis in MODEL_AXES:
+            exp = _point_experiment(payload)
+            _, trace = _run_target(exp, exp.reference(exp.target + 1))
             return {
                 "axis": axis,
                 "value": value,
@@ -611,14 +576,17 @@ def _sweep_point(payload: dict) -> dict:
             }
 
         if axis == "n":
+            doc = payload["doc"]
+            seed = int(doc.get("seed", 0))
+            sweep = doc.get("sweep", {})
             n = int(value)
             instances = int(sweep.get("instances", 15))
             tolerance = float(sweep.get("monotone_tolerance", 1e-6))
             candidates = [float(c) for c in sweep.get("dt_candidates", DEFAULT_DT_LADDER)]
-            target = int(point_doc.get("target", 1))
+            target = int(doc.get("target", 1))
             alpha = float(sweep.get("alpha", 4.0))
-            depth = int(sweep.get("depth", depth_default))
-            kind = str(point_doc.get("controls", "x_mixer"))
+            depth = int(sweep.get("depth", doc.get("feedback", {}).get("depth", 500)))
+            kind = str(doc.get("controls", "x_mixer"))
             gain = float(sweep.get("gain", 1.0))
 
             problems = []
@@ -696,29 +664,24 @@ def cmd_sweep(args) -> int:
         raise ConfigError("'sweep.values' must be a non-empty list")
     if args.seed is not None:
         doc["seed"] = int(args.seed)
-    # Validate the shared parts once up front so a broken config exits 2
-    # instead of producing a CSV of NaN rows.
-    if axis != "n":
-        probe_args = argparse.Namespace(seed=None, shots=args.shots, exact=args.exact, out=None)
-        probe_doc = copy.deepcopy(doc)
-        if axis == "R":
-            probe_doc["model"] = dict(probe_doc["model"], R=float(values[0]))
-            try:
-                Experiment(probe_doc, path.resolve().parent, probe_args)
-            except ConfigError as exc:
-                # The first R row may simply be missing from the table;
-                # every other failure is R-independent and rejects the config.
-                if not isinstance(exc.__cause__, RowNotTabulatedError):
-                    raise
-        else:
-            probe_doc["model"] = dict(probe_doc["model"], instance_seed=int(values[0]))
-            Experiment(probe_doc, path.resolve().parent, probe_args)
-
-    out = Path(args.out if args.out is not None else doc.get("output", DEFAULT_OUTPUT))
+    base_dir = str(path.resolve().parent)
     payloads = [
-        {"doc": doc, "axis": axis, "value": v, "base_dir": str(path.resolve().parent)}
+        {"doc": doc, "axis": axis, "value": v, "base_dir": base_dir,
+         "shots": args.shots, "exact": args.exact}
         for v in values
     ]
+    # Validate the shared parts once up front so a broken config exits 2
+    # instead of producing a CSV of NaN rows.
+    if axis in MODEL_AXES:
+        try:
+            _point_experiment(payloads[0])
+        except ConfigError as exc:
+            # The first R row may simply be missing from the table;
+            # every other failure is R-independent and rejects the config.
+            if axis != "R" or not isinstance(exc.__cause__, RowNotTabulatedError):
+                raise
+
+    out = Path(args.out if args.out is not None else doc.get("output", DEFAULT_OUTPUT))
     started = time.perf_counter()
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -93,17 +93,6 @@ class ShiftedOperator:
     def alphas(self) -> Tuple[float, ...]:
         return tuple(s.alpha for s in self.shifts)
 
-    def eigenpair_residuals(self) -> List[float]:
-        """Max-norm residual of H0|q_j> - E_j|q_j> per shift (diagnostic)."""
-        out = []
-        for s in self.shifts:
-            acc = np.zeros_like(s.state.amps)
-            for ops, coeff in self.h0.items():
-                acc += coeff * apply_pauli(s.state, ops)
-            acc -= s.energy * s.state.amps
-            out.append(float(np.max(np.abs(acc))))
-        return out
-
 
 def lyapunov_value(state: StateVector, p_op: ShiftedOperator) -> float:
     """V = <psi|H0|psi> + sum_j alpha_j |<q_j|psi>|**2."""
@@ -189,26 +178,20 @@ def _controller_from_pieces(
     return _assemble(comm_value, pieces, gain)
 
 
-def controller_exact(state: StateVector, h_ctrl: PauliSum, p_op: ShiftedOperator, gain: float) -> float:
-    """-K <psi|i[H_q,P]|psi> via commutator expansion plus projector cross terms."""
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
-    comm = commutator_i(h_ctrl, p_op.h0)
-    return _controller_from_pieces(state, comm, h_ctrl, p_op, gain, EXACT)
-
-
 def controller_overlap_sampled(
     state: StateVector,
     h_ctrl: PauliSum,
     p_op: ShiftedOperator,
     gain: float,
-    budget: ShotBudget,
+    budget: ShotBudget = EXACT,
 ) -> float:
-    """Same law assembled from finite-shot Pauli expectations and Hadamard tests.
+    """-K <psi|i[H_q,P]|psi> from Pauli expectations and Hadamard tests.
 
     Per-term commutator expectations, the per-term overlaps <psi|O|q_j>
     (real and imaginary parts separately), and the overlaps <q_j|psi>
-    each consume an independent child stream of `budget`.
+    each consume an independent child stream of `budget`; the default
+    exact budget gives the exact law, which is what the `exact` backend
+    computes.
     """
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
@@ -382,7 +365,8 @@ class FeedbackConfig:
 
     dt and the per-channel gains set the layer unitaries and the control
     law; depth is the layer count.  backend selects the controller
-    estimator; epsilon, psr_literal and budget parameterize it.  The
+    estimator; epsilon, psr_literal and budget parameterize it, and
+    `exact` is the overlap route at the exact budget.  The
     remaining fields are diagnostics: trotter_slices subdivides each
     first-order step (default one slice per layer), record_states keeps
     per-layer statevectors, the stop thresholds enable optional early
@@ -400,7 +384,6 @@ class FeedbackConfig:
     epsilon: Optional[float] = None
     psr_literal: bool = False
     trotter_slices: int = 1
-    g_function: str = "identity"
     record_states: bool = False
     stop_control_threshold: Optional[float] = None
     stop_value_threshold: Optional[float] = None
@@ -426,8 +409,6 @@ class FeedbackConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.trotter_slices < 1:
             raise ValueError(f"trotter_slices must be >= 1, got {self.trotter_slices}")
-        if self.g_function != "identity":
-            raise ValueError("only the identity g function is implemented")
 
 
 @dataclass
@@ -499,26 +480,40 @@ def run_fqae(
     if psi0.n != h0.n:
         raise ValueError("initial state qubit count does not match the drift")
 
+    backend = config.backend
+    budget = EXACT if backend == "exact" else config.budget
     slices = config.trotter_slices
     drift_plan = TrotterPlan.from_sum(h0, config.dt)
     ctrl_plans = [TrotterPlan.from_sum(h, config.dt) for h in h_ctrls]
-    needs_comm = config.backend in ("exact", "overlap_hadamard")
-    comms = [commutator_i(h, h0) for h in h_ctrls] if needs_comm else None
+    overlap = backend in ("exact", "overlap_hadamard")
     # The a priori controller bound is a theorem only when the computed
     # value is the exact law; sampled gradients obey looser constants.
-    assert_bound = config.backend == "exact" or (
-        config.budget.exact
-        and (
-            config.backend == "overlap_hadamard"
-            or (config.backend == "grad_psr" and not config.psr_literal)
-        )
+    exact_law = (
+        budget.exact
+        and backend != "grad_fd"
+        and not (backend == "grad_psr" and config.psr_literal)
     )
+    comms = [commutator_i(h, h0) for h in h_ctrls] if overlap or exact_law else None
     bounds = None
-    if assert_bound:
-        bound_comms = comms if comms is not None else [commutator_i(h, h0) for h in h_ctrls]
-        bounds = [
-            _control_bound(config.gains[q], bound_comms[q], h_ctrls[q], p_op) for q in range(r)
-        ]
+    if exact_law:
+        bounds = [_control_bound(config.gains[q], comms[q], h_ctrls[q], p_op) for q in range(r)]
+
+    # The backends are looked up by name at call time so that wrappers
+    # installed on this module's attributes see every call.
+    def bind(q: int) -> Callable[[StateVector, ShotBudget], float]:
+        h_ctrl, gain = h_ctrls[q], config.gains[q]
+        if overlap:
+            return lambda state, b: _controller_from_pieces(state, comms[q], h_ctrl, p_op, gain, b)
+        if backend == "grad_fd":
+            return lambda state, b: controller_grad_fd(
+                state, h_ctrl, p_op, gain, config.dt,
+                epsilon=config.epsilon, budget=b, slices=slices,
+            )
+        return lambda state, b: controller_grad_psr(
+            state, h_ctrl, p_op, gain, config.dt, budget=b, literal=config.psr_literal
+        )
+
+    controllers = [bind(q) for q in range(r)]
 
     controls = (0.0,) * r if config.initial_controls is None else config.initial_controls
     state = psi0.copy()
@@ -571,25 +566,7 @@ def run_fqae(
         try:
             nxt = []
             for q in range(r):
-                layer_budget = config.budget.split(k, q)
-                if config.backend == "exact":
-                    u = _controller_from_pieces(
-                        state, comms[q], h_ctrls[q], p_op, config.gains[q], EXACT
-                    )
-                elif config.backend == "overlap_hadamard":
-                    u = _controller_from_pieces(
-                        state, comms[q], h_ctrls[q], p_op, config.gains[q], layer_budget
-                    )
-                elif config.backend == "grad_fd":
-                    u = controller_grad_fd(
-                        state, h_ctrls[q], p_op, config.gains[q], config.dt,
-                        epsilon=config.epsilon, budget=layer_budget, slices=slices,
-                    )
-                else:
-                    u = controller_grad_psr(
-                        state, h_ctrls[q], p_op, config.gains[q], config.dt,
-                        budget=layer_budget, literal=config.psr_literal,
-                    )
+                u = controllers[q](state, budget.split(k, q))
                 if not np.isfinite(u):
                     raise FloatingPointError(f"controller for channel {q} is not finite")
                 nxt.append(float(u))

@@ -66,3 +66,17 @@ def random_pauli_terms(rng: np.random.Generator, n: int, count: int, real: bool 
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
+
+
+def dense_controller(state, h_ctrl, h0, shifts, gain: float) -> float:
+    """-K <psi| i[H_q, H0 + sum_j alpha_j |q_j><q_j|] |psi> from dense matrices.
+
+    ``h_ctrl`` and ``h0`` are iterables of (pauli string, coefficient)
+    pairs, ``shifts`` holds (alpha, reference amplitudes) pairs and
+    ``state`` is an amplitude vector.
+    """
+    p = dense_sum(list(h0))
+    for alpha, ref in shifts:
+        p = p + alpha * np.outer(ref, np.conj(ref))
+    comm = dense_commutator_i(dense_sum(list(h_ctrl)), p)
+    return float(-gain * np.vdot(state, comm @ state).real)

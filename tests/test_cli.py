@@ -1,6 +1,7 @@
 """Command line entry points: exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -395,3 +396,90 @@ def test_shipped_configs_parse(tmp_path):
         "ising_seed_sweep.json",
     ):
         assert json.loads((CONFIG_DIR / name).read_text())
+
+
+def test_sweep_seed_axis_honours_exact_and_shots(tmp_path):
+    """--exact and --shots reach every point, as they reach a single run."""
+    doc = {
+        "seed": 3,
+        "model": {"family": "ising_random", "n": 3, "instance_seed": 0},
+        "controls": "x_mixer",
+        "target": 1,
+        "alpha": {"strategy": "fixed", "values": [4.0]},
+        "feedback": {
+            "dt": 0.05, "gains": [1.0], "depth": 20,
+            "backend": "overlap_hadamard", "shots": 50,
+        },
+        "sweep": {"axis": "seed", "values": [1]},
+    }
+    cfg = write_doc(tmp_path, doc)
+
+    def sweep_row(name, *flags):
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / name), *flags]
+        assert main(argv) == EXIT_OK
+        (row,) = json.loads((tmp_path / f"{name}_sweep.json").read_text())["rows"]
+        return row
+
+    plain = sweep_row("plain")
+    exact = sweep_row("exact", "--exact")
+    more = sweep_row("more", "--shots", "5000")
+    run_doc = dict(doc, model=dict(doc["model"], instance_seed=1))
+    run_cfg = write_doc(tmp_path, run_doc, name="point.json")
+    assert main(["run", "--config", run_cfg, "--out", str(tmp_path / "run"), "--exact"]) == EXIT_OK
+    summary = json.loads((tmp_path / "run_summary.json").read_text())
+    assert exact["mean_fidelity"] == summary["final_fidelities"][1]
+    assert exact["mean_energy"] == summary["final_energy"]
+    assert exact != plain
+    assert more != plain
+
+
+def test_stage_overrides_keep_parent_config(tmp_path, monkeypatch):
+    """A stage changes only dt, depth, trotter_slices and gains."""
+    from feedbackq import cli
+
+    feedback = {
+        "dt": 0.08, "gains": [1.5, 1.5], "depth": 4, "backend": "grad_fd",
+        "shots": 200, "epsilon": 0.002, "initial_controls": [0.1, -0.1],
+        "stop_control_threshold": 1e-12, "stop_value_threshold": -10.0,
+        "abort_on_increase": 10.0,
+    }
+    stages = [
+        {"dt": 0.05, "depth": 3, "trotter_slices": 2, "gains": 0.5},
+        {"initial_state": "01", "gains": [2.0, 3.0]},
+    ]
+    doc = bench_doc(feedback=feedback, stages=stages, count=2)
+    cfg = write_doc(tmp_path, doc)
+
+    seen = []
+    original = cli.deflate_spectrum
+
+    def recording(h0, h_ctrls, psi0, config, count, **kwargs):
+        seen.extend(config(s) for s in range(count))
+        return original(h0, h_ctrls, psi0, config, count, **kwargs)
+
+    monkeypatch.setattr(cli, "deflate_spectrum", recording)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == EXIT_OK
+
+    parent = cli.parse_feedback(feedback, 2, 7, None, False)
+    assert parent.budget.shots == 200
+    assert seen == [
+        dataclasses.replace(parent, dt=0.05, depth=3, trotter_slices=2, gains=(0.5, 0.5)),
+        dataclasses.replace(parent, gains=(2.0, 3.0)),
+    ]
+
+    for bad in ({"dt": 0}, {"gains": [1.0, 1.0, 1.0]}, {"dt": "fast"}):
+        broken = write_doc(tmp_path, dict(doc, stages=[bad, {}]), name="bad.json")
+        assert main(["spectrum", "--config", broken, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+
+
+def test_null_gains_mean_unit_gain(tmp_path):
+    runs = {}
+    for name, gains in (("null", None), ("ones", [1.0, 1.0])):
+        doc = bench_doc(feedback={"dt": 0.08, "gains": gains, "depth": 10})
+        cfg = write_doc(tmp_path, doc, name=f"{name}.json")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        runs[name] = (tmp_path / f"{name}_trace.csv").read_bytes()
+    assert runs["null"] == runs["ones"]
+
+    short = write_doc(tmp_path, bench_doc(feedback={"dt": 0.08, "gains": [1.0], "depth": 10}))
+    assert main(["run", "--config", short, "--out", str(tmp_path / "short")]) == EXIT_CONFIG

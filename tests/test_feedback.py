@@ -20,7 +20,6 @@ from feedbackq import (
     alpha_iterative,
     build_ising,
     controller_diagonal_fastpath,
-    controller_exact,
     controller_grad_fd,
     controller_grad_psr,
     controller_overlap_sampled,
@@ -37,7 +36,7 @@ from feedbackq import (
     tune_time_step,
 )
 
-from _oracles import random_state
+from _oracles import dense_controller, random_state
 
 
 BENCH = build_ising(IsingSpec(2, ((0.0, 0.5), (0.5, 0.0)), (1.0, 2.0)))
@@ -99,12 +98,12 @@ def test_falqon_is_the_shiftless_special_case():
 
 
 def test_controller_routes_agree():
-    """Expectation, overlap, and both gradient estimators give one number.
+    """The overlap and both gradient estimators match the dense law.
 
-    The overlap route with an exact budget reduces to the same arithmetic
-    as the expectation route, so those two must match bit for bit.  The
-    parameter-shift estimate differentiates an exact sinusoid and lands
-    within float error; the central difference carries an O(eps^2) bias.
+    The overlap route with an exact budget is the exact law and lands
+    within float error of the dense-matrix oracle, as does the
+    parameter-shift estimate, which differentiates an exact sinusoid;
+    the central difference carries an O(eps^2) bias.
     """
     rng = np.random.default_rng(913)
     for trial in range(5):
@@ -121,12 +120,14 @@ def test_controller_routes_agree():
         state = StateVector.from_amplitudes(
             random_state(np.random.default_rng(600 + trial), n)
         )
+        shifts = [(s.alpha, s.state.amps) for s in p_op.shifts]
         for h_ctrl in standard_controls("y_per_qubit", n):
-            u_exact = controller_exact(state, h_ctrl, p_op, gain=1.5)
+            u_exact = dense_controller(state.amps, h_ctrl.items(), h0.items(), shifts, 1.5)
             u_overlap = controller_overlap_sampled(
                 state, h_ctrl, p_op, gain=1.5, budget=EXACT
             )
-            assert u_overlap == u_exact
+            assert u_overlap == pytest.approx(u_exact, rel=1e-12, abs=1e-12)
+            assert controller_overlap_sampled(state, h_ctrl, p_op, gain=1.5) == u_overlap
             u_psr = controller_grad_psr(state, h_ctrl, p_op, gain=1.5, dt=0.05)
             assert u_psr == pytest.approx(u_exact, rel=1e-9, abs=1e-10)
             u_fd = controller_grad_fd(state, h_ctrl, p_op, gain=1.5, dt=0.05)
@@ -153,7 +154,7 @@ def test_fastpath_matches_generic_controller():
             random_state(np.random.default_rng(300 + trial), n)
         )
         fast = controller_diagonal_fastpath(state, bits, alpha0, h0, mixer, gain=2.0)
-        generic = controller_exact(state, mixer, p_op, gain=2.0)
+        generic = controller_overlap_sampled(state, mixer, p_op, gain=2.0)
         assert fast == pytest.approx(generic, rel=1e-10, abs=1e-12)
 
 
@@ -310,8 +311,6 @@ def test_config_validation():
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, initial_controls=(0.0, 0.0))
     with pytest.raises(ValueError):
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, trotter_slices=0)
-    with pytest.raises(ValueError):
-        FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, g_function="tanh")
 
 
 def test_shift_and_operator_validation():

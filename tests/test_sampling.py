@@ -140,9 +140,12 @@ def test_zero_fraction_estimates_probability():
 
 
 def test_identity_expectation_rejected():
+    """Identity, empty and malformed strings all raise, sampled or exact."""
     state = StateVector.plus(2)
-    with pytest.raises(ValueError):
-        sample_pauli_expectation(state, "II", ShotBudget(10))
+    for ops in ("II", "", "IQ"):
+        for budget in (EXACT, ShotBudget(10)):
+            with pytest.raises(ValueError):
+                sample_pauli_expectation(state, ops, budget)
 
 
 def test_out_of_range_probability_rejected():
