@@ -31,12 +31,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .feedback import (
-    DeflationStage,
     FeedbackConfig,
     FeedbackRunError,
     RunTrace,
@@ -246,44 +245,48 @@ def parse_controls(doc: dict, n: int) -> Tuple[List[PauliSum], str]:
 def resolve_alphas(
     doc: dict,
     h0: PauliSum,
-    target: int,
-    run_with_alphas: Callable[[Sequence[float]], RunTrace],
-    reference: Sequence[Tuple[float, StateVector]],
+    shifts: int,
+    run_with_alphas: Optional[Callable[[Sequence[float]], RunTrace]] = None,
+    reference: Sequence[Tuple[float, StateVector]] = (),
 ) -> List[float]:
     """Turn the config's alpha strategy into one value per projector shift.
 
     ``bound`` uses twice the drift one-norm for every shift, ``fixed``
     takes explicit values, and ``iterative`` doubles a shared starting
-    value until the run stops collapsing onto a lower eigenstate.
+    value until the run stops collapsing onto a lower eigenstate; it
+    needs `run_with_alphas`, so commands that pass none reject it.
     """
-    if target == 0:
-        return []
     spec = doc.get("alpha", {"strategy": "bound"})
     if not isinstance(spec, dict):
         raise ConfigError("'alpha' must be an object with a 'strategy' field")
     strategy = str(spec.get("strategy", "bound"))
     if strategy == "bound":
-        return [alpha_from_bound(h0)] * target
+        return [alpha_from_bound(h0)] * shifts
     if strategy == "fixed":
         values = _require(spec, "values", "alpha strategy 'fixed'")
-        values = [float(v) for v in values]
-        if len(values) != target:
+        try:
+            values = [float(v) for v in values]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"alpha strategy 'fixed' needs numeric values: {exc}") from exc
+        if len(values) != shifts:
             raise ConfigError(
-                f"alpha strategy 'fixed' needs {target} values for target index {target}"
+                f"alpha strategy 'fixed' needs {shifts} values, one per projector shift"
             )
         return values
     if strategy == "iterative":
+        if run_with_alphas is None:
+            raise ConfigError("alpha strategy 'iterative' is supported by run and sweep only")
         start = float(spec.get("start", 1.0))
 
         def _run(alpha: float) -> RunTrace:
-            return run_with_alphas([alpha] * target)
+            return run_with_alphas([alpha] * shifts)
 
         def _fell_short(trace: RunTrace) -> bool:
-            lower = [fidelity(reference[k][1], trace.final_state) for k in range(target)]
+            lower = [fidelity(reference[k][1], trace.final_state) for k in range(shifts)]
             return bool(lower and max(lower) > 0.5)
 
         final = alpha_iterative(_run, start, _fell_short)
-        return [final] * target
+        return [final] * shifts
     raise ConfigError(f"unknown alpha strategy '{strategy}'")
 
 
@@ -367,17 +370,25 @@ class Experiment:
         return ShiftedOperator(self.h0, shifts)
 
 
-def _run_target(exp: Experiment, reference) -> Tuple[List[float], RunTrace]:
-    """Resolve the config's alpha strategy, then run toward the target."""
+def _run_target(
+    exp: Experiment, reference, config: Optional[FeedbackConfig] = None
+) -> Tuple[List[float], RunTrace]:
+    """Resolve the config's alpha strategy, then run toward the target.
+
+    `config` replaces the experiment's feedback settings (the sweep's
+    time-step search passes each candidate this way).
+    """
+    config = exp.config if config is None else config
     track = [pair[1] for pair in reference]
 
     def run(alphas: Sequence[float]) -> RunTrace:
         if not alphas:
-            return run_falqon(exp.h0, exp.controls, exp.psi0, exp.config, track_states=track)
+            return run_falqon(exp.h0, exp.controls, exp.psi0, config, track_states=track)
         p_op = exp.shifted_operator(alphas, reference)
-        return run_fqae(exp.h0, exp.controls, p_op, exp.psi0, exp.config, track_states=track)
+        return run_fqae(exp.h0, exp.controls, p_op, exp.psi0, config, track_states=track)
 
-    alphas = resolve_alphas(exp.doc, exp.h0, exp.target, run, reference)
+    # A ground-state run uses no shift, so it leaves the alpha block unread.
+    alphas = resolve_alphas(exp.doc, exp.h0, exp.target, run, reference) if exp.target else []
     return alphas, run(alphas)
 
 
@@ -475,19 +486,7 @@ def cmd_spectrum(args) -> int:
     if count < 1:
         raise ConfigError("'count' must be at least 1")
 
-    spec = doc.get("alpha", {"strategy": "bound"})
-    strategy = str(spec.get("strategy", "bound")) if isinstance(spec, dict) else "?"
-    if strategy == "bound":
-        alphas = None
-    elif strategy == "fixed":
-        alphas = [float(v) for v in _require(spec, "values", "alpha strategy 'fixed'")]
-        if len(alphas) != max(count - 1, 0):
-            raise ConfigError(
-                f"alpha strategy 'fixed' needs {count - 1} values for count {count}"
-            )
-    else:
-        raise ConfigError("spectrum supports alpha strategies 'bound' and 'fixed' only")
-
+    alphas = resolve_alphas(doc, exp.h0, count - 1)
     reference = exp.reference(count)
     psi0, config = _stage_overrides(doc, exp, count)
     track = [pair[1] for pair in reference]
@@ -526,11 +525,7 @@ def cmd_spectrum(args) -> int:
             "count": count,
             "energies": [float(s.energy) for s in stages],
             "reference_energies": [float(e) for e, _ in reference],
-            "alphas": (
-                [float(a) for a in alphas]
-                if alphas is not None
-                else [alpha_from_bound(exp.h0)] * (count - 1)
-            ),
+            "alphas": [float(a) for a in alphas],
             "warnings": [s.warning for s in stages],
             "wall_time_s": wall,
         },
@@ -543,97 +538,119 @@ def cmd_spectrum(args) -> int:
 # sweep
 
 
-# Sweep axes that rewrite one model field, with the field and its type.
-MODEL_AXES = {"R": ("R", float), "seed": ("instance_seed", int)}
+# Sweep axes, each rewriting one model field, with the field and its type.
+SWEEP_AXES = {"R": ("R", float), "n": ("n", int), "seed": ("instance_seed", int)}
 
 
-def _point_experiment(payload: dict) -> Experiment:
-    """The experiment of one point on a model-field axis."""
-    doc = payload["doc"]
-    key, cast = MODEL_AXES[payload["axis"]]
-    model = dict(_require(doc, "model", "config"), **{key: cast(payload["value"])})
-    point_doc = dict(doc, model=model)
+def _check_retired_keys(doc: dict, sweep: dict) -> None:
+    """Accept a retired sweep key only where it repeats what the config sets."""
+    feedback = doc.get("feedback") if isinstance(doc.get("feedback"), dict) else {}
+    alpha = doc.get("alpha") if isinstance(doc.get("alpha"), dict) else {}
+    gains = feedback.get("gains")
+    gains = gains if isinstance(gains, list) else [1.0 if gains is None else gains]
+    alphas = alpha.get("values", []) if alpha.get("strategy") == "fixed" else [None]
+    shadowed = {  # retired key: (the config field it shadowed, that field's values)
+        "alpha": ("alpha", alphas),
+        "gain": ("feedback.gains", gains),
+        "depth": ("feedback.depth", [feedback.get("depth")]),
+    }
+    for key, (field, values) in shadowed.items():
+        if key in sweep and any(v != sweep[key] for v in values):
+            raise ConfigError(
+                f"'sweep.{key}' is retired and differs from the config; set '{field}' instead"
+            )
+
+
+def _sweep_payloads(doc: dict, args, base_dir: Path) -> List[dict]:
+    """Validate the sweep block; one worker payload per point."""
+    sweep = doc.get("sweep")
+    if not isinstance(sweep, dict):
+        raise ConfigError("sweep configs need a 'sweep' object")
+    axis = str(args.axis if args.axis is not None else _require(sweep, "axis", "'sweep'"))
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis '{axis}' (choose from R, n, seed)")
+    values = _require(sweep, "values", "'sweep'")
+    if not isinstance(values, list) or not values:
+        raise ConfigError("'sweep.values' must be a non-empty list")
+    try:
+        values = [SWEEP_AXES[axis][1](v) for v in values]
+        instances = int(sweep.get("instances", 15))
+        candidates = [float(c) for c in sweep.get("dt_candidates", DEFAULT_DT_LADDER)]
+        tolerance = float(sweep.get("monotone_tolerance", 1e-6))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sweep settings: {exc}") from exc
+    if instances < 1 or not candidates:
+        raise ConfigError("'sweep.instances' and 'sweep.dt_candidates' must not be empty")
+    _check_retired_keys(doc, sweep)
+    if args.seed is not None:
+        doc["seed"] = int(args.seed)
+    return [
+        {"doc": doc, "axis": axis, "value": v, "base_dir": str(base_dir),
+         "shots": args.shots, "exact": args.exact, "instances": instances,
+         "dt_candidates": candidates, "tolerance": tolerance}
+        for v in values
+    ]
+
+
+def _point_experiments(payload: dict) -> List[Experiment]:
+    """The experiments of one sweep point.
+
+    An ``n`` point is ``sweep.instances`` random instances of that size;
+    every other point is the config with one model field replaced.
+    """
+    doc, axis, value = payload["doc"], payload["axis"], payload["value"]
+    model = dict(_require(doc, "model", "config"), **{SWEEP_AXES[axis][0]: value})
+    models = [model]
+    if axis == "n":
+        seed = int(doc.get("seed", 0))
+        models = [
+            dict(model, instance_seed=derive_seed(seed, "sweep", value, i))
+            for i in range(payload["instances"])
+        ]
     args = argparse.Namespace(seed=None, shots=payload["shots"], exact=payload["exact"], out=None)
-    return Experiment(point_doc, Path(payload["base_dir"]), args)
+    return [Experiment(dict(doc, model=m), Path(payload["base_dir"]), args) for m in models]
 
 
 def _sweep_point(payload: dict) -> dict:
-    """Run one sweep point in a worker process; never raises."""
+    """Run one sweep point in a worker process; never raises.
+
+    The ``n`` axis picks the largest ``sweep.dt_candidates`` entry at
+    which every instance keeps V descending; the other axes run once at
+    the config's dt.
+    """
     axis = payload["axis"]
     value = payload["value"]
     try:
-        if axis in MODEL_AXES:
-            exp = _point_experiment(payload)
-            _, trace = _run_target(exp, exp.reference(exp.target + 1))
-            return {
-                "axis": axis,
-                "value": value,
-                "instances": 1,
-                "dt": exp.config.dt,
-                "mean_fidelity": float(trace.fidelities[-1, exp.target]),
-                "fidelity_se": 0.0,
-                "mean_energy": float(trace.energy[-1]),
-            }
+        experiments = _point_experiments(payload)
+        references = [exp.reference(exp.target + 1) for exp in experiments]
+        tolerance = payload["tolerance"]
+
+        def run_at(dt: Optional[float] = None) -> List[RunTrace]:
+            traces = []
+            for exp, ref in zip(experiments, references):
+                config = exp.config
+                if dt is not None:
+                    config = replace(config, dt=dt, abort_on_increase=tolerance)
+                traces.append(_run_target(exp, ref, config)[1])
+            return traces
 
         if axis == "n":
-            doc = payload["doc"]
-            seed = int(doc.get("seed", 0))
-            sweep = doc.get("sweep", {})
-            n = int(value)
-            instances = int(sweep.get("instances", 15))
-            tolerance = float(sweep.get("monotone_tolerance", 1e-6))
-            candidates = [float(c) for c in sweep.get("dt_candidates", DEFAULT_DT_LADDER)]
-            target = int(doc.get("target", 1))
-            alpha = float(sweep.get("alpha", 4.0))
-            depth = int(sweep.get("depth", doc.get("feedback", {}).get("depth", 500)))
-            kind = str(doc.get("controls", "x_mixer"))
-            gain = float(sweep.get("gain", 1.0))
-
-            problems = []
-            for i in range(instances):
-                inst_seed = derive_seed(seed, "sweep", n, i)
-                h0 = build_ising(random_ising(n, inst_seed))
-                ref = reference_spectrum(h0, count=target + 1)
-                shifts = [Shift(alpha, ref[k][1], ref[k][0]) for k in range(target)]
-                problems.append((h0, ShiftedOperator(h0, shifts), ref[target][1]))
-            ctrl_cache = {n: standard_controls(kind, n)}
-
-            def run_at(dt: float) -> List[RunTrace]:
-                traces = []
-                for h0, p_op, target_state in problems:
-                    cfg = FeedbackConfig(
-                        dt=dt,
-                        gains=(gain,) * len(ctrl_cache[n]),
-                        depth=depth,
-                        abort_on_increase=tolerance,
-                    )
-                    traces.append(
-                        run_fqae(
-                            h0,
-                            ctrl_cache[n],
-                            p_op,
-                            StateVector.plus(n),
-                            cfg,
-                            track_states=[target_state],
-                        )
-                    )
-                return traces
-
-            dt, traces = tune_time_step(run_at, candidates, tolerance=tolerance)
-            fids = np.array([t.fidelities[-1, 0] for t in traces])
-            energies = np.array([t.energy[-1] for t in traces])
-            se = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
-            return {
-                "axis": axis,
-                "value": n,
-                "instances": instances,
-                "dt": dt,
-                "mean_fidelity": float(fids.mean()),
-                "fidelity_se": se,
-                "mean_energy": float(energies.mean()),
-            }
-
-        raise ConfigError(f"unknown sweep axis '{axis}'")
+            dt, traces = tune_time_step(run_at, payload["dt_candidates"], tolerance=tolerance)
+        else:
+            dt, traces = experiments[0].config.dt, run_at()
+        target = experiments[0].target
+        fids = np.array([t.fidelities[-1, target] for t in traces])
+        energies = np.array([t.energy[-1] for t in traces])
+        se = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
+        return {
+            "axis": axis,
+            "value": value,
+            "instances": len(traces),
+            "dt": dt,
+            "mean_fidelity": float(fids.mean()),
+            "fidelity_se": se,
+            "mean_energy": float(energies.mean()),
+        }
     except Exception as exc:  # a failed point must not sink the sweep
         return {
             "axis": axis,
@@ -653,33 +670,17 @@ SWEEP_COLUMNS = ["axis", "value", "instances", "dt", "mean_fidelity", "fidelity_
 def cmd_sweep(args) -> int:
     path = Path(args.config)
     doc = _load_json(path)
-    sweep = doc.get("sweep")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep configs need a 'sweep' object")
-    axis = str(args.axis if args.axis is not None else _require(sweep, "axis", "'sweep'"))
-    if axis not in ("R", "n", "seed"):
-        raise ConfigError(f"unknown sweep axis '{axis}' (choose from R, n, seed)")
-    values = _require(sweep, "values", "'sweep'")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("'sweep.values' must be a non-empty list")
-    if args.seed is not None:
-        doc["seed"] = int(args.seed)
-    base_dir = str(path.resolve().parent)
-    payloads = [
-        {"doc": doc, "axis": axis, "value": v, "base_dir": base_dir,
-         "shots": args.shots, "exact": args.exact}
-        for v in values
-    ]
-    # Validate the shared parts once up front so a broken config exits 2
-    # instead of producing a CSV of NaN rows.
-    if axis in MODEL_AXES:
-        try:
-            _point_experiment(payloads[0])
-        except ConfigError as exc:
-            # The first R row may simply be missing from the table;
-            # every other failure is R-independent and rejects the config.
-            if axis != "R" or not isinstance(exc.__cause__, RowNotTabulatedError):
-                raise
+    payloads = _sweep_payloads(doc, args, path.resolve().parent)
+    axis = payloads[0]["axis"]
+    # Build the first point up front so a broken config exits 2 instead
+    # of producing a CSV of NaN rows.
+    try:
+        _point_experiments(payloads[0])
+    except ConfigError as exc:
+        # The first R row may simply be missing from the table;
+        # every other failure is R-independent and rejects the config.
+        if axis != "R" or not isinstance(exc.__cause__, RowNotTabulatedError):
+            raise
 
     out = Path(args.out if args.out is not None else doc.get("output", DEFAULT_OUTPUT))
     started = time.perf_counter()
@@ -760,16 +761,7 @@ def cmd_validate(args) -> int:
     assumption2 = all(c["fully_connected"] for c in channel_reports)
 
     target = exp.target
-    reference = [(float(eigenvalues[k]), None) for k in range(min(target + 1, len(eigenvalues)))]
-    alphas = resolve_alphas(
-        doc,
-        exp.h0,
-        target,
-        lambda a: (_ for _ in ()).throw(
-            ConfigError("alpha strategy 'iterative' is not supported by validate")
-        ),
-        reference,
-    )
+    alphas = resolve_alphas(doc, exp.h0, target) if target else []
     p_dense = h_dense.astype(complex)
     for k, alpha in enumerate(alphas):
         q = vectors[:, k]
@@ -856,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="axis sweep with per-point aggregates")
     common(p_sweep)
-    p_sweep.add_argument("--axis", choices=("R", "n", "seed"), help="sweep axis")
+    p_sweep.add_argument("--axis", choices=tuple(SWEEP_AXES), help="sweep axis")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     p_sweep.set_defaults(func=cmd_sweep)
 

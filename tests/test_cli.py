@@ -1,8 +1,10 @@
 """Command line entry points: exit codes, file outputs, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +141,17 @@ def test_config_rejection_paths(tmp_path):
         tmp_path, bench_doc(alpha={"strategy": "fixed", "values": [1.0, 2.0]}), "a.json"
     )
     assert main(["run", "--config", bad_alpha]) == EXIT_CONFIG
+
+    # spectrum reads the alpha block for count - 1 shifts, count 1 included
+    for count, alpha in (
+        (2, {"strategy": "fixed", "values": [1.0, 2.0]}),
+        (1, {"strategy": "fixed", "values": [7.0]}),
+        (2, {"strategy": "iterative"}),
+        (2, 7.0),
+        (2, {"strategy": "fixed", "values": ["x"]}),
+    ):
+        spec = write_doc(tmp_path, bench_doc(alpha=alpha, count=count), "spec.json")
+        assert main(["spectrum", "--config", spec, "--out", str(tmp_path / "spec")]) == EXIT_CONFIG
 
 
 def test_runtime_failure_flushes_partial_trace(tmp_path):
@@ -303,9 +316,11 @@ def test_sweep_seed_axis_runs_instances(tmp_path):
 def test_sweep_n_axis_tunes_the_time_step(tmp_path):
     doc = {
         "seed": 0,
+        "model": {"family": "ising_random", "n": 2, "instance_seed": 0},
         "controls": "x_mixer",
         "target": 1,
-        "feedback": {"depth": 60},
+        "alpha": {"strategy": "fixed", "values": [4.0]},
+        "feedback": {"dt": 0.05, "gains": [1.0], "depth": 60},
         "sweep": {
             "axis": "n",
             "values": [2, 3],
@@ -385,6 +400,10 @@ def test_module_entrypoint_runs(tmp_path):
 
 
 def test_shipped_configs_parse(tmp_path):
+    """Each shipped config builds its experiment; a sweep its first point's."""
+    from feedbackq import cli
+
+    args = argparse.Namespace(seed=None, shots=None, exact=False, out=None, axis=None)
     for name in (
         "ising_41_run.json",
         "ising_41_spectrum.json",
@@ -395,7 +414,13 @@ def test_shipped_configs_parse(tmp_path):
         "ising_scaling_sweep.json",
         "ising_seed_sweep.json",
     ):
-        assert json.loads((CONFIG_DIR / name).read_text())
+        doc = json.loads((CONFIG_DIR / name).read_text())
+        if "sweep" in doc:
+            payload = cli._sweep_payloads(doc, args, CONFIG_DIR)[0]
+            experiments = cli._point_experiments(payload)
+        else:
+            experiments = [cli.Experiment(doc, CONFIG_DIR, args)]
+        assert experiments and all(exp.controls for exp in experiments), name
 
 
 def test_sweep_seed_axis_honours_exact_and_shots(tmp_path):
@@ -483,3 +508,108 @@ def test_null_gains_mean_unit_gain(tmp_path):
 
     short = write_doc(tmp_path, bench_doc(feedback={"dt": 0.08, "gains": [1.0], "depth": 10}))
     assert main(["run", "--config", short, "--out", str(tmp_path / "short")]) == EXIT_CONFIG
+
+
+def ising_sweep_doc(axis, values, **feedback):
+    return {
+        "seed": 5,
+        "model": {"family": "ising_random", "n": 3, "instance_seed": 0},
+        "controls": "x_mixer",
+        "target": 1,
+        "alpha": {"strategy": "fixed", "values": [4.0]},
+        "feedback": dict({"dt": 0.05, "gains": [1.0], "depth": 20}, **feedback),
+        "sweep": {"axis": axis, "values": values, "instances": 2,
+                  "dt_candidates": [0.05], "monotone_tolerance": 10.0},
+    }
+
+
+def sweep_rows(tmp_path, doc, name, *flags):
+    cfg = write_doc(tmp_path, doc, name=f"{name}.json")
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / name), *flags]
+    assert main(argv) == EXIT_OK
+    return json.loads((tmp_path / f"{name}_sweep.json").read_text())["rows"]
+
+
+def test_sweep_n_axis_honours_the_config(tmp_path):
+    """The n axis runs the config's feedback block, --shots and --exact."""
+    doc = ising_sweep_doc("n", [3], backend="overlap_hadamard", shots=20)
+    plain = sweep_rows(tmp_path, doc, "plain")
+    exact = sweep_rows(tmp_path, doc, "exact", "--exact")
+    fewer = sweep_rows(tmp_path, doc, "fewer", "--shots", "5")
+    assert plain != exact and plain != fewer and exact != fewer
+    assert exact == sweep_rows(tmp_path, ising_sweep_doc("n", [3], backend="exact"), "backend")
+
+
+def test_sweep_n_axis_matches_the_library(tmp_path):
+    """An n row is tune_time_step over run_fqae on the derived instances."""
+    from feedbackq import (
+        FeedbackConfig, Shift, ShiftedOperator, StateVector, build_ising, derive_seed,
+        random_ising, reference_spectrum, run_fqae, standard_controls, tune_time_step,
+    )
+
+    n, count, ladder, tol = 4, 3, [0.3, 0.1, 0.02], 1e-6
+    doc = ising_sweep_doc("n", [n], depth=40)
+    doc["sweep"].update(instances=count, dt_candidates=ladder, monotone_tolerance=tol)
+    (row,) = sweep_rows(tmp_path, doc, "nrow")
+
+    probs = []
+    for i in range(count):
+        h0 = build_ising(random_ising(n, derive_seed(5, "sweep", n, i)))
+        ref = reference_spectrum(h0, count=2)
+        probs.append((h0, ShiftedOperator(h0, [Shift(4.0, ref[0][1], ref[0][0])]), ref[1][1]))
+    ctrls = standard_controls("x_mixer", n)
+
+    def run_at(dt):
+        cfg = FeedbackConfig(dt=dt, gains=(1.0,), depth=40, abort_on_increase=tol)
+        return [run_fqae(h0, ctrls, p_op, StateVector.plus(n), cfg, track_states=[tgt])
+                for h0, p_op, tgt in probs]
+
+    dt, traces = tune_time_step(run_at, ladder, tolerance=tol)
+    fids = np.array([t.fidelities[-1, 0] for t in traces])
+    assert row == {
+        "axis": "n",
+        "value": n,
+        "instances": count,
+        "dt": dt,
+        "mean_fidelity": float(fids.mean()),
+        "fidelity_se": float(fids.std(ddof=1) / math.sqrt(count)),
+        "mean_energy": float(np.mean([t.energy[-1] for t in traces])),
+    }
+
+
+@pytest.mark.parametrize("axis", ["seed", "n"])
+def test_sweep_rejects_non_numeric_values(tmp_path, axis):
+    cfg = write_doc(tmp_path, ising_sweep_doc(axis, ["abc", 1]))
+    out = tmp_path / "bad"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (tmp_path / "bad_sweep.csv").exists()
+
+
+def test_sweep_retired_keys_must_repeat_the_config(tmp_path, capsys):
+    """sweep.alpha/gain/depth pass only where they equal alpha/feedback."""
+    doc = ising_sweep_doc("n", [2])
+    doc["sweep"].update(alpha=4.0, gain=1.0, depth=20)
+    assert sweep_rows(tmp_path, doc, "same")[0]["instances"] == 2
+    for key, value in (("alpha", 2.0), ("gain", 0.5), ("depth", 30)):
+        changed = dict(doc, sweep=dict(doc["sweep"], **{key: value}))
+        cfg = write_doc(tmp_path, changed, name=f"{key}.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / key)]) == EXIT_CONFIG
+        assert f"'sweep.{key}'" in capsys.readouterr().err
+
+
+def test_ground_state_run_skips_the_alpha_search(tmp_path, monkeypatch):
+    """Target 0 uses no shift: an iterative alpha starts no extra run."""
+    from feedbackq import cli
+
+    calls = []
+    original = cli.run_falqon
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_falqon", counting)
+    monkeypatch.setattr(cli, "run_fqae", None)
+    cfg = write_doc(tmp_path, bench_doc(target=0, alpha={"strategy": "iterative"}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "ground")]) == EXIT_OK
+    assert len(calls) == 1
