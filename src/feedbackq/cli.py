@@ -63,7 +63,7 @@ from .models import (
 )
 from .pauli import PauliSum, parse_sum
 from .sampling import ShotBudget, derive_seed
-from .states import StateVector, dense_matrix, fidelity, reference_spectrum
+from .states import StateVector, dense_eigh, dense_matrix, fidelity, reference_spectrum
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -194,12 +194,14 @@ def parse_feedback(
         shots = None
     elif shots_override is not None:
         shots = shots_override
-    budget = ShotBudget(None if shots is None else int(shots), seed=derive_seed(seed, "shots"))
+    if shots is not None:
+        shots = _as_int(shots, "feedback.shots")
 
     initial = spec.get("initial_controls")
-    if initial is not None:
-        initial = tuple(float(u) for u in initial)
     try:
+        if initial is not None:
+            initial = tuple(float(u) for u in initial)
+        budget = ShotBudget(shots, seed=derive_seed(seed, "shots"))
         return FeedbackConfig(
             dt=float(_require(spec, "dt", "'feedback'")),
             gains=_parse_gains(spec.get("gains"), channels),
@@ -228,6 +230,13 @@ def _parse_gains(value, channels: int) -> Tuple[float, ...]:
     if len(gains) != channels:
         raise ValueError(f"{channels} control channels need exactly {channels} gains")
     return gains
+
+
+def _as_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}") from exc
 
 
 def _opt_float(spec: dict, key: str) -> Optional[float]:
@@ -339,7 +348,7 @@ class Experiment:
 
     def __init__(self, doc: dict, base_dir: Path, args) -> None:
         self.doc = doc
-        self.seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+        self.seed = _as_int(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
         self.h0, self.model_meta = parse_model(_require(doc, "model", "config"), base_dir)
         self.n = self.h0.n
         self.controls, self.control_kind = parse_controls(doc, self.n)
@@ -350,7 +359,7 @@ class Experiment:
             args.shots,
             args.exact,
         )
-        self.target = int(doc.get("target", 0))
+        self.target = _as_int(doc.get("target", 0), "target")
         if self.target < 0:
             raise ConfigError("'target' must be a non-negative eigenstate index")
         self.psi0 = parse_initial_state(doc.get("initial_state"), self.n)
@@ -371,15 +380,19 @@ class Experiment:
 
 
 def _run_target(
-    exp: Experiment, reference, config: Optional[FeedbackConfig] = None
+    exp: Experiment,
+    reference,
+    config: Optional[FeedbackConfig] = None,
+    track: Optional[Sequence[StateVector]] = None,
 ) -> Tuple[List[float], RunTrace]:
     """Resolve the config's alpha strategy, then run toward the target.
 
     `config` replaces the experiment's feedback settings (the sweep's
-    time-step search passes each candidate this way).
+    time-step search passes each candidate this way).  The trace tracks
+    the fidelities of `track`, by default every reference state.
     """
     config = exp.config if config is None else config
-    track = [pair[1] for pair in reference]
+    track = [pair[1] for pair in reference] if track is None else track
 
     def run(alphas: Sequence[float]) -> RunTrace:
         if not alphas:
@@ -602,7 +615,7 @@ def _point_experiments(payload: dict) -> List[Experiment]:
     model = dict(_require(doc, "model", "config"), **{SWEEP_AXES[axis][0]: value})
     models = [model]
     if axis == "n":
-        seed = int(doc.get("seed", 0))
+        seed = _as_int(doc.get("seed", 0), "seed")
         models = [
             dict(model, instance_seed=derive_seed(seed, "sweep", value, i))
             for i in range(payload["instances"])
@@ -631,15 +644,14 @@ def _sweep_point(payload: dict) -> dict:
                 config = exp.config
                 if dt is not None:
                     config = replace(config, dt=dt, abort_on_increase=tolerance)
-                traces.append(_run_target(exp, ref, config)[1])
+                traces.append(_run_target(exp, ref, config, [ref[exp.target][1]])[1])
             return traces
 
         if axis == "n":
             dt, traces = tune_time_step(run_at, payload["dt_candidates"], tolerance=tolerance)
         else:
             dt, traces = experiments[0].config.dt, run_at()
-        target = experiments[0].target
-        fids = np.array([t.fidelities[-1, target] for t in traces])
+        fids = np.array([t.fidelities[-1, 0] for t in traces])
         energies = np.array([t.energy[-1] for t in traces])
         se = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
         return {
@@ -741,8 +753,7 @@ def cmd_validate(args) -> int:
     if exp.n > 12:
         raise ConfigError(f"validate needs a dense spectrum; {exp.n} qubits exceeds the limit")
 
-    h_dense = dense_matrix(exp.h0)
-    eigenvalues, vectors = np.linalg.eigh(h_dense)
+    eigenvalues, vectors = dense_eigh(exp.h0)
 
     assumption1, gap_clashes = _distinct_gaps(eigenvalues)
 
@@ -762,10 +773,10 @@ def cmd_validate(args) -> int:
 
     target = exp.target
     alphas = resolve_alphas(doc, exp.h0, target) if target else []
-    p_dense = h_dense.astype(complex)
+    p_dense = dense_matrix(exp.h0)  # the dtype of `vectors`
     for k, alpha in enumerate(alphas):
         q = vectors[:, k]
-        p_dense = p_dense + alpha * np.outer(q, q.conj())
+        p_dense += alpha * np.outer(q, q.conj())
     p_eigenvalues = np.linalg.eigvalsh(p_dense)
     min_gap = float(np.min(np.diff(p_eigenvalues))) if len(p_eigenvalues) > 1 else math.inf
     assumption3 = min_gap > DEGENERACY_TOL

@@ -307,15 +307,24 @@ def diagonal_values(h: PauliSum) -> np.ndarray:
 
 
 def dense_matrix(h: PauliSum) -> np.ndarray:
-    """Dense 2**n x 2**n matrix of a sum (n <= 12 guard for memory)."""
+    """Dense 2**n x 2**n matrix of a sum (n <= 12 guard for memory).
+
+    float64 for a real sum (real coefficients and an even number of Y
+    letters in every string), complex128 otherwise.
+    """
     if h.n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"dense path supports n <= {DENSE_QUBIT_LIMIT}")
     dim = 1 << h.n
     idx = _indices(h.n)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    real = all(c.imag == 0 and _string_masks(ops)[2] % 2 == 0 for ops, c in h.items())
+    mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     for ops, coeff in h.items():
         xmask, zmask, ny = _string_masks(ops)
-        vals = np.full(dim, coeff * 1j if ny % 2 else coeff, dtype=np.complex128)
+        if real:
+            coeff = coeff.real
+        elif ny % 2:
+            coeff = coeff * 1j
+        vals = np.full(dim, coeff, dtype=mat.dtype)
         if zmask:
             vals *= _signs(ops)
         cols = _gather_index(h.n, xmask) if xmask else idx
@@ -323,13 +332,25 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
     return mat
 
 
+def dense_eigh(h: PauliSum) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of a hermitian sum.
+
+    The eigenvectors share the dtype of `dense_matrix(h)`: a real sum is
+    diagonalized in float64, several times faster than complex128, and
+    its eigenvectors are real.
+    """
+    if not h.is_hermitian:
+        raise ValueError("dense_eigh requires a hermitian sum")
+    return np.linalg.eigh(dense_matrix(h))
+
+
 def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[float, StateVector]]:
     """Eigenpairs of a hermitian sum, ascending by eigenvalue.
 
     Diagonal sums (I/Z letters only) sort their dense diagonal and emit
     basis-state eigenvectors, which scales to n <= 26 when `count` bounds
-    how many pairs are materialized.  Anything else diagonalizes the
-    dense matrix and is limited to n <= 12.
+    how many pairs are materialized.  Anything else goes through
+    `dense_eigh` and is limited to n <= 12.
     """
     if not h.is_hermitian:
         raise ValueError("reference_spectrum requires a hermitian sum")
@@ -345,7 +366,7 @@ def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[floa
         if count is not None:
             order = order[:count]
         return [(float(diag[i]), StateVector.basis(h.n, int(i))) for i in order]
-    evals, evecs = np.linalg.eigh(dense_matrix(h))
+    evals, evecs = dense_eigh(h)
     upto = len(evals) if count is None else min(count, len(evals))
     return [
         (float(evals[i]), StateVector(evecs[:, i], copy=True)) for i in range(upto)

@@ -125,6 +125,10 @@ def test_config_rejection_paths(tmp_path):
     )
     assert main(["run", "--config", bad_depth]) == EXIT_CONFIG
 
+    no_shots = write_doc(tmp_path, bench_doc(
+        feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 5, "shots": 0}), "shots.json")
+    assert main(["run", "--config", no_shots]) == EXIT_CONFIG
+
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
     garbled = tmp_path / "garbled.json"
@@ -152,6 +156,23 @@ def test_config_rejection_paths(tmp_path):
     ):
         spec = write_doc(tmp_path, bench_doc(alpha=alpha, count=count), "spec.json")
         assert main(["spectrum", "--config", spec, "--out", str(tmp_path / "spec")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        ("seed", {"seed": "abc"}),
+        ("target", {"target": "one"}),
+        ("feedback.shots", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
+                                         "backend": "overlap_hadamard", "shots": "many"}}),
+    ],
+    ids=["seed", "target", "shots"],
+)
+def test_non_integer_field_is_a_config_error(tmp_path, capsys, key, overrides):
+    cfg = write_doc(tmp_path, bench_doc(**overrides))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "bad_trace.csv").exists()
 
 
 def test_runtime_failure_flushes_partial_trace(tmp_path):

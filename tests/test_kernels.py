@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from feedbackq import (
     PauliSum,
     StateVector,
+    build_mfi,
     dense_matrix,
     diagonal_values,
     expectation,
     pauli_matrix_element,
+    random_mfi,
 )
 from feedbackq import states
-from feedbackq.states import apply_pauli
+from feedbackq.states import apply_pauli, dense_eigh
 
 from _oracles import dense_string, dense_sum, random_state
 
@@ -103,6 +105,49 @@ def test_dense_matrix_matches_dense(ops_list, seed):
     np.testing.assert_allclose(first, want, rtol=0, atol=ATOL)
     first[:] = 7.0
     np.testing.assert_allclose(dense_matrix(h), want, rtol=0, atol=ATOL)
+
+
+def _even_y(ops):
+    """The string with its first Y turned into X when its Y count is odd."""
+    return ops.replace("Y", "X", 1) if ops.count("Y") % 2 else ops
+
+
+def eigh_sums():
+    """Hermitian string lists at n = 1..7: unrestricted, or an even Y count per string."""
+    lists = st.integers(1, 7).flatmap(lambda n: st.lists(strings(n), min_size=1, max_size=6))
+    return st.one_of(lists, lists.map(lambda ops_list: [_even_y(o) for o in ops_list]))
+
+
+@PROPERTY
+@given(ops_list=eigh_sums(), seed=seeds)
+def test_dense_eigh_matches_dense(ops_list, seed):
+    h, terms = _sum(np.random.default_rng(seed), ops_list)
+    real = all(ops.count("Y") % 2 == 0 for ops in ops_list)
+    want_dtype = np.float64 if real else np.complex128
+    assert dense_matrix(h).dtype == want_dtype
+    oracle = dense_sum(terms)
+    evals, evecs = dense_eigh(h)
+    assert evecs.dtype == want_dtype
+    np.testing.assert_allclose(evals, np.linalg.eigvalsh(oracle), rtol=0, atol=1e-10)
+    residual = np.linalg.norm(oracle @ evecs - evecs * evals, axis=0)
+    assert residual.max() <= 1e-10
+    gram = evecs.conj().T @ evecs
+    np.testing.assert_allclose(gram, np.eye(len(evals)), rtol=0, atol=1e-10)
+
+
+def test_dense_eigh_degenerate_eigenspace_matches_complex_route():
+    """E2 = E3 on the nine-qubit ring: the basis may differ, the projector may not."""
+    h = build_mfi(random_mfi(9, 0))
+    evals, evecs = dense_eigh(h)
+    assert evecs.dtype == np.float64
+    assert evals[3] - evals[2] <= 1e-10 < min(evals[2] - evals[1], evals[4] - evals[3])
+    want_vals, want_vecs = np.linalg.eigh(dense_sum([(t.ops, t.coeff) for t in h]))
+    np.testing.assert_allclose(evals, want_vals, rtol=0, atol=1e-10)
+
+    def projector(vecs):
+        return vecs[:, 2:4] @ vecs[:, 2:4].conj().T
+
+    np.testing.assert_allclose(projector(evecs), projector(want_vecs), rtol=0, atol=1e-10)
 
 
 def test_cached_kernels_are_read_only():
