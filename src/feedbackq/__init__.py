@@ -7,10 +7,8 @@ projector-shifted operators and deflation, excited states as well.
 
 from .pauli import (
     PauliSum,
-    PauliTerm,
     commutator_i,
     format_sum,
-    mul_terms,
     one_norm,
     parse_sum,
     product,
@@ -53,7 +51,6 @@ from .models import (
     standard_controls,
 )
 from .feedback import (
-    BACKENDS,
     DeflationStage,
     FeedbackConfig,
     FeedbackRunError,

@@ -128,9 +128,8 @@ def parse_model(spec: dict, base_dir: Path) -> Tuple[PauliSum, dict]:
         if family == "ising_random":
             n = int(_require(spec, "n", "random ising model"))
             inst = int(_require(spec, "instance_seed", "random ising model"))
-            low = float(spec.get("low", -2.0))
-            high = float(spec.get("high", 2.0))
-            built = build_ising(random_ising(n, inst, low=low, high=high))
+            _reject_retired(spec, "model", ("low", "high"), "instances are drawn from [-2, 2]")
+            built = build_ising(random_ising(n, inst))
             return built, {"family": family, "n": n, "instance_seed": inst}
         if family == "mfi":
             n = int(_require(spec, "n", "mfi model"))
@@ -189,6 +188,7 @@ def parse_feedback(
 ) -> FeedbackConfig:
     if not isinstance(spec, dict):
         raise ConfigError("'feedback' must be an object")
+    _reject_retired(spec, "feedback", ("psr_literal",), "grad_psr always uses the exact-law shift")
     shots = spec.get("shots")
     if exact_override:
         shots = None
@@ -210,7 +210,6 @@ def parse_feedback(
             initial_controls=initial,
             budget=budget,
             epsilon=None if spec.get("epsilon") is None else float(spec["epsilon"]),
-            psr_literal=bool(spec.get("psr_literal", False)),
             trotter_slices=int(spec.get("trotter_slices", 1)),
             stop_control_threshold=_opt_float(spec, "stop_control_threshold"),
             stop_value_threshold=_opt_float(spec, "stop_value_threshold"),
@@ -239,6 +238,12 @@ def _as_int(value, key: str) -> int:
         raise ConfigError(f"'{key}' must be an integer, got {value!r}") from exc
 
 
+def _reject_retired(spec: dict, where: str, keys: Sequence[str], reason: str) -> None:
+    for key in keys:
+        if key in spec:
+            raise ConfigError(f"'{where}.{key}' is retired: {reason}")
+
+
 def _opt_float(spec: dict, key: str) -> Optional[float]:
     value = spec.get(key)
     return None if value is None else float(value)
@@ -264,14 +269,16 @@ def resolve_alphas(
     takes explicit values, and ``iterative`` doubles a shared starting
     value until the run stops collapsing onto a lower eigenstate; it
     needs `run_with_alphas`, so commands that pass none reject it.
+    Every shift weight must be positive (``bound`` gives 0 for a drift
+    without Pauli terms).
     """
     spec = doc.get("alpha", {"strategy": "bound"})
     if not isinstance(spec, dict):
         raise ConfigError("'alpha' must be an object with a 'strategy' field")
     strategy = str(spec.get("strategy", "bound"))
     if strategy == "bound":
-        return [alpha_from_bound(h0)] * shifts
-    if strategy == "fixed":
+        values = [alpha_from_bound(h0)] * shifts
+    elif strategy == "fixed":
         values = _require(spec, "values", "alpha strategy 'fixed'")
         try:
             values = [float(v) for v in values]
@@ -281,11 +288,15 @@ def resolve_alphas(
             raise ConfigError(
                 f"alpha strategy 'fixed' needs {shifts} values, one per projector shift"
             )
-        return values
-    if strategy == "iterative":
+    elif strategy == "iterative":
         if run_with_alphas is None:
             raise ConfigError("alpha strategy 'iterative' is supported by run and sweep only")
-        start = float(spec.get("start", 1.0))
+        try:
+            start = float(spec.get("start", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'alpha.start' must be a number: {exc}") from exc
+        if not start > 0:
+            raise ConfigError(f"'alpha.start' must be positive, got {start}")
 
         def _run(alpha: float) -> RunTrace:
             return run_with_alphas([alpha] * shifts)
@@ -296,7 +307,11 @@ def resolve_alphas(
 
         final = alpha_iterative(_run, start, _fell_short)
         return [final] * shifts
-    raise ConfigError(f"unknown alpha strategy '{strategy}'")
+    else:
+        raise ConfigError(f"unknown alpha strategy '{strategy}'")
+    if not all(v > 0 for v in values):
+        raise ConfigError(f"alpha strategy '{strategy}' needs positive shift weights, got {values}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +377,8 @@ class Experiment:
         self.target = _as_int(doc.get("target", 0), "target")
         if self.target < 0:
             raise ConfigError("'target' must be a non-negative eigenstate index")
+        if self.target >= 2 ** self.n:
+            raise ConfigError(f"'target' must be below 2**n = {2 ** self.n}, got {self.target}")
         self.psi0 = parse_initial_state(doc.get("initial_state"), self.n)
         out = args.out if args.out is not None else doc.get("output", DEFAULT_OUTPUT)
         self.output = Path(out)
@@ -495,7 +512,7 @@ def _stage_overrides(doc: dict, exp: Experiment, count: int):
 def cmd_spectrum(args) -> int:
     doc = _load_json(Path(args.config))
     exp = Experiment(doc, Path(args.config).resolve().parent, args)
-    count = int(args.count if args.count is not None else doc.get("count", 1))
+    count = _as_int(args.count if args.count is not None else doc.get("count", 1), "count")
     if count < 1:
         raise ConfigError("'count' must be at least 1")
 
@@ -738,11 +755,7 @@ def cmd_sweep(args) -> int:
 
 def _distinct_gaps(eigenvalues: np.ndarray) -> Tuple[bool, int]:
     """Whether all pairwise eigenvalue differences are distinct."""
-    diffs = []
-    for i in range(len(eigenvalues)):
-        for j in range(i + 1, len(eigenvalues)):
-            diffs.append(eigenvalues[j] - eigenvalues[i])
-    diffs = np.sort(np.asarray(diffs))
+    diffs = np.sort(np.concatenate([eigenvalues[i + 1:] - e for i, e in enumerate(eigenvalues)]))
     clashes = int(np.sum(np.diff(diffs) < DEGENERACY_TOL)) if len(diffs) > 1 else 0
     return clashes == 0, clashes
 
@@ -773,11 +786,11 @@ def cmd_validate(args) -> int:
 
     target = exp.target
     alphas = resolve_alphas(doc, exp.h0, target) if target else []
-    p_dense = dense_matrix(exp.h0)  # the dtype of `vectors`
-    for k, alpha in enumerate(alphas):
-        q = vectors[:, k]
-        p_dense += alpha * np.outer(q, q.conj())
-    p_eigenvalues = np.linalg.eigvalsh(p_dense)
+    # Each shifted state is a drift eigenvector, so P is diagonal in the
+    # drift eigenbasis: its spectrum is the drift's with alpha_k added to E_k.
+    p_eigenvalues = eigenvalues.copy()
+    p_eigenvalues[:target] += alphas
+    p_eigenvalues.sort()
     min_gap = float(np.min(np.diff(p_eigenvalues))) if len(p_eigenvalues) > 1 else math.inf
     assumption3 = min_gap > DEGENERACY_TOL
 

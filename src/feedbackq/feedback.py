@@ -43,6 +43,9 @@ from .states import (
 BACKENDS = ("exact", "overlap_hadamard", "grad_fd", "grad_psr")
 
 CONTROL_BOUND_SLACK = 1e-9
+# A deflation stage whose final state overlaps no reference eigenstate
+# by at least this fidelity carries a warning.
+DEFLATION_WARN_FIDELITY = 0.5
 
 
 class UnsupportedGeneratorError(ValueError):
@@ -286,24 +289,18 @@ def controller_grad_psr(
     gain: float,
     dt: float,
     budget: ShotBudget = EXACT,
-    literal: bool = False,
 ) -> float:
     """Parameter-shift gradient for two-eigenvalue control Hamiltonians.
 
-    Default rule: shift s = pi/(4*lambda*dt) in the control variable and
-    return -K*lambda*(V(u+s) - V(u-s)), which reproduces the exact
-    commutator law for any dt.  `literal=True` selects the plain
-    half-difference with a pi/2 shift, exact only when lambda*dt = 1/2.
+    Shifts the control variable by s = pi/(4*lambda*dt) and returns
+    -K*lambda*(V(u+s) - V(u-s)), which reproduces the exact commutator
+    law for any dt.
     """
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
     lam, stripped = _two_level_split(h_ctrl)
-    if literal:
-        shift = math.pi / 2.0
-        prefactor = -(gain / dt) * 0.5
-    else:
-        shift = math.pi / (4.0 * lam * dt)
-        prefactor = -gain * lam
+    shift = math.pi / (4.0 * lam * dt)
+    prefactor = -gain * lam
     plus = _two_level_rotation(state, stripped, lam, shift * dt)
     minus = _two_level_rotation(state, stripped, lam, -shift * dt)
     v_plus = _sampled_lyapunov(plus, p_op, budget, tag=0)
@@ -365,7 +362,7 @@ class FeedbackConfig:
 
     dt and the per-channel gains set the layer unitaries and the control
     law; depth is the layer count.  backend selects the controller
-    estimator; epsilon, psr_literal and budget parameterize it, and
+    estimator; epsilon and budget parameterize it, and
     `exact` is the overlap route at the exact budget.  The
     remaining fields are diagnostics: trotter_slices subdivides each
     first-order step (default one slice per layer), record_states keeps
@@ -382,7 +379,6 @@ class FeedbackConfig:
     initial_controls: Optional[Tuple[float, ...]] = None
     budget: ShotBudget = EXACT
     epsilon: Optional[float] = None
-    psr_literal: bool = False
     trotter_slices: int = 1
     record_states: bool = False
     stop_control_threshold: Optional[float] = None
@@ -488,11 +484,7 @@ def run_fqae(
     overlap = backend in ("exact", "overlap_hadamard")
     # The a priori controller bound is a theorem only when the computed
     # value is the exact law; sampled gradients obey looser constants.
-    exact_law = (
-        budget.exact
-        and backend != "grad_fd"
-        and not (backend == "grad_psr" and config.psr_literal)
-    )
+    exact_law = budget.exact and backend != "grad_fd"
     comms = [commutator_i(h, h0) for h in h_ctrls] if overlap or exact_law else None
     bounds = None
     if exact_law:
@@ -509,9 +501,7 @@ def run_fqae(
                 state, h_ctrl, p_op, gain, config.dt,
                 epsilon=config.epsilon, budget=b, slices=slices,
             )
-        return lambda state, b: controller_grad_psr(
-            state, h_ctrl, p_op, gain, config.dt, budget=b, literal=config.psr_literal
-        )
+        return lambda state, b: controller_grad_psr(state, h_ctrl, p_op, gain, config.dt, budget=b)
 
     controllers = [bind(q) for q in range(r)]
 
@@ -628,7 +618,6 @@ def deflate_spectrum(
     count: int,
     alphas: Optional[Sequence[float]] = None,
     reference: Optional[Sequence[Tuple[float, StateVector]]] = None,
-    warn_threshold: float = 0.5,
     track_states: Sequence[StateVector] = (),
 ) -> List[DeflationStage]:
     """Climb the spectrum: run, pin the result under a projector shift, repeat.
@@ -637,7 +626,7 @@ def deflate_spectrum(
     shifts every previously converged state by alphas[j] (default: the
     one-norm bound of h0 for all of them).  `psi0` and `config` may be
     per-stage callables.  When `reference` eigenpairs are supplied, a
-    stage whose final state has max fidelity below `warn_threshold`
+    stage whose final state has max fidelity below `DEFLATION_WARN_FIDELITY`
     against all of them gets a warning string embedded in its result.
     Stages are returned in ascending energy order.
     """
@@ -655,10 +644,10 @@ def deflate_spectrum(
         warning = None
         if reference is not None:
             best = max(fidelity(vec, trace.final_state) for _, vec in reference)
-            if best < warn_threshold:
+            if best < DEFLATION_WARN_FIDELITY:
                 warning = (
                     f"stage {s} max reference fidelity {best:.3f} "
-                    f"below threshold {warn_threshold}"
+                    f"below threshold {DEFLATION_WARN_FIDELITY}"
                 )
         stages.append(DeflationStage(energy, trace.final_state, trace, warning))
         if alphas is not None and s < len(alphas):

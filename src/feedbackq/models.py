@@ -71,13 +71,10 @@ class MfiSpec:
     J: float
     h: float
     g: float
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("MfiSpec needs n >= 3 for a meaningful ring")
-        if not self.periodic:
-            raise ValueError("only the periodic ring is supported")
 
 
 def build_mfi(spec: MfiSpec) -> PauliSum:
@@ -144,8 +141,8 @@ def build_h2(spec: H2Spec) -> PauliSum:
     return PauliSum([(ops, c) for ops, c in terms if c], n=2)
 
 
-def random_ising(n: int, seed: int, low: float = -2.0, high: float = 2.0) -> IsingSpec:
-    """Fully connected instance with couplings and fields uniform on [low, high].
+def random_ising(n: int, seed: int) -> IsingSpec:
+    """Fully connected instance with couplings and fields uniform on [-2, 2].
 
     Draw order is fixed (upper-triangle couplings row by row, then the
     fields) so a seed pins the instance exactly.
@@ -156,8 +153,8 @@ def random_ising(n: int, seed: int, low: float = -2.0, high: float = 2.0) -> Isi
     couplings = np.zeros((n, n))
     for q in range(n):
         for j in range(q + 1, n):
-            couplings[q, j] = couplings[j, q] = rng.uniform(low, high)
-    fields = rng.uniform(low, high, size=n)
+            couplings[q, j] = couplings[j, q] = rng.uniform(-2.0, 2.0)
+    fields = rng.uniform(-2.0, 2.0, size=n)
     return IsingSpec(n, tuple(map(tuple, couplings)), tuple(fields))
 
 

@@ -1,7 +1,8 @@
 """Symbolic algebra over n-qubit Pauli strings.
 
 Operators are represented as sums of Pauli strings with complex
-coefficients.  Qubit 0 is the leftmost factor of the tensor product and
+coefficients.  A term is an `(ops, coeff)` pair: `PauliSum` is built
+from such pairs and `items()` yields them back.  Qubit 0 is the leftmost factor of the tensor product and
 the most significant bit of basis-state labels, so the string "ZI" acts
 as Z on qubit 0 and identity on qubit 1.
 
@@ -12,8 +13,7 @@ lexicographically with I < X < Y < Z (plain string order does this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Tuple
 
 PRUNE_TOL = 1e-14
 HERMITIAN_TOL = 1e-12
@@ -39,51 +39,19 @@ def _check_ops(ops: str) -> str:
     return ops
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """One Pauli string with a complex coefficient."""
+def _multiply(a_ops: str, b_ops: str) -> Tuple[complex, str]:
+    """Operator product of two equal-length strings as (phase, string).
 
-    ops: str
-    coeff: complex = 1.0
-
-    def __post_init__(self) -> None:
-        _check_ops(self.ops)
-        object.__setattr__(self, "coeff", complex(self.coeff))
-
-    @property
-    def n(self) -> int:
-        return len(self.ops)
-
-    @property
-    def is_identity(self) -> bool:
-        return set(self.ops) == {"I"}
-
-    def __repr__(self) -> str:
-        return f"PauliTerm({self.ops!r}, {self.coeff!r})"
-
-
-def mul_terms(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Operator product a*b as a single term, phase folded into the coefficient."""
-    if len(a.ops) != len(b.ops):
-        raise ValueError(f"qubit count mismatch: {len(a.ops)} vs {len(b.ops)}")
+    The phase is 1, -1, 1j or -1j; it is imaginary exactly when the two
+    strings anticommute (an odd number of clashing factors).
+    """
     phase = 1 + 0j
     letters = []
-    for pa, pb in zip(a.ops, b.ops):
+    for pa, pb in zip(a_ops, b_ops):
         ph, letter = _MUL[(pa, pb)]
         phase *= ph
         letters.append(letter)
-    return PauliTerm("".join(letters), a.coeff * b.coeff * phase)
-
-
-def strings_anticommute(a: str, b: str) -> bool:
-    """True when the two Pauli strings anticommute (odd number of clashing factors)."""
-    if len(a) != len(b):
-        raise ValueError(f"qubit count mismatch: {len(a)} vs {len(b)}")
-    clashes = sum(1 for pa, pb in zip(a, b) if pa != "I" and pb != "I" and pa != pb)
-    return clashes % 2 == 1
-
-
-TermLike = Union[PauliTerm, Tuple[str, complex]]
+    return phase, "".join(letters)
 
 
 class PauliSum:
@@ -91,15 +59,11 @@ class PauliSum:
 
     __slots__ = ("_coeffs", "_n")
 
-    def __init__(self, terms: Iterable[TermLike] = (), n: int | None = None):
+    def __init__(self, terms: Iterable[Tuple[str, complex]] = (), n: int | None = None):
         coeffs: dict[str, complex] = {}
-        for item in terms:
-            if isinstance(item, PauliTerm):
-                ops, c = item.ops, item.coeff
-            else:
-                ops, c = item
-                _check_ops(ops)
-                c = complex(c)
+        for ops, c in terms:
+            _check_ops(ops)
+            c = complex(c)
             if n is None:
                 n = len(ops)
             elif len(ops) != n:
@@ -115,10 +79,6 @@ class PauliSum:
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def terms(self) -> Tuple[PauliTerm, ...]:
-        return tuple(PauliTerm(ops, c) for ops, c in self._coeffs.items())
 
     @property
     def is_hermitian(self) -> bool:
@@ -142,9 +102,6 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self._coeffs)
 
-    def __iter__(self) -> Iterator[PauliTerm]:
-        return iter(self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
@@ -153,7 +110,7 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return PauliSum(list(self.terms) + list(other.terms), n=self._n)
+        return PauliSum(list(self.items()) + list(other.items()), n=self._n)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         if not isinstance(other, PauliSum):
@@ -177,9 +134,10 @@ def product(a: PauliSum, b: PauliSum) -> PauliSum:
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
     out = []
-    for ta in a:
-        for tb in b:
-            out.append(mul_terms(ta, tb))
+    for a_ops, ca in a.items():
+        for b_ops, cb in b.items():
+            phase, ops = _multiply(a_ops, b_ops)
+            out.append((ops, ca * cb * phase))
     return PauliSum(out, n=a.n)
 
 
@@ -195,11 +153,11 @@ def commutator_i(a: PauliSum, b: PauliSum) -> PauliSum:
     if not (a.is_hermitian and b.is_hermitian):
         raise ValueError("commutator_i expects hermitian inputs")
     out = []
-    for ta in a:
-        for tb in b:
-            if strings_anticommute(ta.ops, tb.ops):
-                prod = mul_terms(ta, tb)
-                out.append(PauliTerm(prod.ops, 2j * prod.coeff))
+    for a_ops, ca in a.items():
+        for b_ops, cb in b.items():
+            phase, ops = _multiply(a_ops, b_ops)
+            if phase.imag:
+                out.append((ops, 2j * (ca * cb * phase)))
     return PauliSum(out, n=a.n)
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -119,7 +120,7 @@ def test_exact_override_removes_shot_noise(tmp_path):
     assert read_rows(tmp_path / "noisy_trace.csv") != ref
 
 
-def test_config_rejection_paths(tmp_path):
+def test_config_rejection_paths(tmp_path, capsys):
     bad_depth = write_doc(
         tmp_path, bench_doc(feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 0})
     )
@@ -157,22 +158,55 @@ def test_config_rejection_paths(tmp_path):
         spec = write_doc(tmp_path, bench_doc(alpha=alpha, count=count), "spec.json")
         assert main(["spectrum", "--config", spec, "--out", str(tmp_path / "spec")]) == EXIT_CONFIG
 
+    # shift settings are checked before any run: every weight must be positive
+    # and the target must be one of the 2**n levels
+    zero_drift = {"family": "pauli", "terms": "0", "n": 2}
+    random_model = {"family": "ising_random", "n": 2, "instance_seed": 0}
+    for command, doc in (
+        ("run", bench_doc(alpha={"strategy": "fixed", "values": [-1.0]})),
+        ("validate", bench_doc(alpha={"strategy": "fixed", "values": [-1.0]})),
+        ("run", bench_doc(model=zero_drift, alpha={"strategy": "bound"})),
+        ("run", bench_doc(alpha={"strategy": "iterative", "start": "x"})),
+        ("run", bench_doc(alpha={"strategy": "iterative", "start": 0})),
+        ("run", bench_doc(target=5, alpha={"strategy": "fixed", "values": [7.0] * 5})),
+        ("sweep", bench_doc(target=5, model=random_model, controls="x_mixer",
+                            alpha={"strategy": "fixed", "values": [7.0] * 5},
+                            feedback={"dt": 0.08, "gains": [1.0], "depth": 5},
+                            sweep={"axis": "seed", "values": [0, 1]})),
+    ):
+        cfg = write_doc(tmp_path, doc, "shift.json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "shift")]) == EXIT_CONFIG
+    assert not list(tmp_path.glob("shift_*"))
+
+    # retired keys are rejected by name
+    for key, doc in (
+        ("feedback.psr_literal", bench_doc(feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
+                                                     "psr_literal": False})),
+        ("model.low", bench_doc(model=dict(random_model, low=-2.0))),
+        ("model.high", bench_doc(model=dict(random_model, high=2.0))),
+    ):
+        capsys.readouterr()
+        cfg = write_doc(tmp_path, doc, "retired.json")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "retired")]) == EXIT_CONFIG
+        assert f"'{key}' is retired" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
-    "key, overrides",
+    "command, key, overrides",
     [
-        ("seed", {"seed": "abc"}),
-        ("target", {"target": "one"}),
-        ("feedback.shots", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
-                                         "backend": "overlap_hadamard", "shots": "many"}}),
+        ("run", "seed", {"seed": "abc"}),
+        ("run", "target", {"target": "one"}),
+        ("run", "feedback.shots", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
+                                                "backend": "overlap_hadamard", "shots": "many"}}),
+        ("spectrum", "count", {"count": "abc"}),
     ],
-    ids=["seed", "target", "shots"],
+    ids=["seed", "target", "shots", "count"],
 )
-def test_non_integer_field_is_a_config_error(tmp_path, capsys, key, overrides):
+def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, key, overrides):
     cfg = write_doc(tmp_path, bench_doc(**overrides))
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
     assert f"'{key}' must be an integer" in capsys.readouterr().err
-    assert not (tmp_path / "bad_trace.csv").exists()
+    assert not list(tmp_path.glob("bad_*"))
 
 
 def test_runtime_failure_flushes_partial_trace(tmp_path):
@@ -410,11 +444,15 @@ def test_csv_schema_depends_only_on_channels_and_tracked(tmp_path):
 
 
 def test_module_entrypoint_runs(tmp_path):
+    import feedbackq
+
     cfg = write_doc(tmp_path, bench_doc(feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 3}))
+    # the subprocess imports the same package source as this test
+    env = dict(os.environ, PYTHONPATH=str(Path(feedbackq.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "feedbackq", "run", "--config", cfg,
          "--out", str(tmp_path / "mod")],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == EXIT_OK
     assert (tmp_path / "mod_trace.csv").exists()

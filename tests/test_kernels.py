@@ -141,7 +141,7 @@ def test_dense_eigh_degenerate_eigenspace_matches_complex_route():
     evals, evecs = dense_eigh(h)
     assert evecs.dtype == np.float64
     assert evals[3] - evals[2] <= 1e-10 < min(evals[2] - evals[1], evals[4] - evals[3])
-    want_vals, want_vecs = np.linalg.eigh(dense_sum([(t.ops, t.coeff) for t in h]))
+    want_vals, want_vecs = np.linalg.eigh(dense_sum(list(h.items())))
     np.testing.assert_allclose(evals, want_vals, rtol=0, atol=1e-10)
 
     def projector(vecs):

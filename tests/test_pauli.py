@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from feedbackq import PauliSum, commutator_i, format_sum, mul_terms, one_norm, parse_sum, product
-from feedbackq.pauli import PauliTerm, strings_anticommute
+from feedbackq import PauliSum, commutator_i, format_sum, one_norm, parse_sum, product
 
 from _oracles import dense_string, dense_sum, random_pauli_terms
 
@@ -12,12 +11,12 @@ LETTERS = "IXYZ"
 
 
 def test_single_qubit_products_match_dense():
-    """All 16 letter pairs reproduce the dense 2x2 products."""
+    """All 16 letter pairs reproduce the dense 2x2 products as one term."""
     for a in LETTERS:
         for b in LETTERS:
-            got = mul_terms(PauliTerm(a), PauliTerm(b))
+            ((ops, coeff),) = product(PauliSum([(a, 1.0)]), PauliSum([(b, 1.0)])).items()
             dense = dense_string(a) @ dense_string(b)
-            assert np.allclose(got.coeff * dense_string(got.ops), dense)
+            assert np.allclose(coeff * dense_string(ops), dense)
 
 
 def test_product_matches_dense_on_random_sums():
@@ -57,6 +56,7 @@ def test_commuting_pairs_drop_out():
 
 
 def test_strings_anticommute_matches_dense():
+    """One-string commutators keep exactly the anticommuting pairs, as 2i*ab."""
     rng = np.random.default_rng(7)
     for _ in range(60):
         n = int(rng.integers(1, 5))
@@ -64,7 +64,10 @@ def test_strings_anticommute_matches_dense():
         sb = "".join(rng.choice(list(LETTERS)) for _ in range(n))
         da, db = dense_string(sa), dense_string(sb)
         anti = np.allclose(da @ db + db @ da, 0.0)
-        assert strings_anticommute(sa, sb) == anti
+        got = commutator_i(PauliSum([(sa, 1.0)]), PauliSum([(sb, 1.0)]))
+        assert len(got) == (1 if anti else 0)
+        if anti:
+            assert np.allclose(dense_sum(list(got.items())), 2j * da @ db)
 
 
 def test_canonicalization_merges_and_prunes():
@@ -131,8 +134,7 @@ def test_hermitian_flag():
 
 def test_pauli_term_products_carry_phases():
     """XY = iZ with coefficients multiplied through."""
-    got = mul_terms(PauliTerm("X", 2.0), PauliTerm("Y", 3.0))
-    assert got.ops == "Z"
-    assert got.coeff == pytest.approx(6.0j)
-    assert PauliTerm("XY", 2.0).n == 2
-    assert PauliTerm("II").is_identity
+    ((ops, coeff),) = product(PauliSum([("X", 2.0)]), PauliSum([("Y", 3.0)])).items()
+    assert ops == "Z"
+    assert coeff == pytest.approx(6.0j)
+    assert np.allclose(coeff * dense_string(ops), 6.0 * dense_string("X") @ dense_string("Y"))
