@@ -23,11 +23,9 @@ from .states import (
     expectation,
     fidelity,
     inner,
-    load_state,
     pauli_expectation,
     pauli_matrix_element,
     reference_spectrum,
-    save_state,
 )
 from .sampling import (
     EXACT,

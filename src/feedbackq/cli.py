@@ -44,7 +44,6 @@ from .feedback import (
     alpha_from_bound,
     alpha_iterative,
     deflate_spectrum,
-    run_falqon,
     run_fqae,
     tune_time_step,
 )
@@ -189,6 +188,12 @@ def parse_feedback(
     if not isinstance(spec, dict):
         raise ConfigError("'feedback' must be an object")
     _reject_retired(spec, "feedback", ("psr_literal",), "grad_psr always uses the exact-law shift")
+    _reject_retired(spec, "feedback", ("initial_controls",), "every run starts from zero controls")
+    _reject_retired(spec, "feedback", ("epsilon",), "grad_fd steps by 1e-5 exact, 1e-3 sampled")
+    _reject_retired(
+        spec, "feedback", ("stop_control_threshold", "stop_value_threshold"),
+        "a run stops only at 'depth' or on 'abort_on_increase'",
+    )
     shots = spec.get("shots")
     if exact_override:
         shots = None
@@ -196,24 +201,20 @@ def parse_feedback(
         shots = shots_override
     if shots is not None:
         shots = _as_int(shots, "feedback.shots")
+    depth = _as_int(_require(spec, "depth", "'feedback'"), "feedback.depth")
+    slices = _as_int(spec.get("trotter_slices", 1), "feedback.trotter_slices")
+    abort = spec.get("abort_on_increase")
 
-    initial = spec.get("initial_controls")
     try:
-        if initial is not None:
-            initial = tuple(float(u) for u in initial)
         budget = ShotBudget(shots, seed=derive_seed(seed, "shots"))
         return FeedbackConfig(
             dt=float(_require(spec, "dt", "'feedback'")),
             gains=_parse_gains(spec.get("gains"), channels),
-            depth=int(_require(spec, "depth", "'feedback'")),
+            depth=depth,
             backend=str(spec.get("backend", "exact")),
-            initial_controls=initial,
             budget=budget,
-            epsilon=None if spec.get("epsilon") is None else float(spec["epsilon"]),
-            trotter_slices=int(spec.get("trotter_slices", 1)),
-            stop_control_threshold=_opt_float(spec, "stop_control_threshold"),
-            stop_value_threshold=_opt_float(spec, "stop_value_threshold"),
-            abort_on_increase=_opt_float(spec, "abort_on_increase"),
+            trotter_slices=slices,
+            abort_on_increase=None if abort is None else float(abort),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid feedback settings: {exc}") from exc
@@ -232,21 +233,20 @@ def _parse_gains(value, channels: int) -> Tuple[float, ...]:
 
 
 def _as_int(value, key: str) -> int:
+    """int(value), refusing a value with a fractional part instead of truncating it."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"'{key}' must be an integer, got {value!r}") from exc
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return number
 
 
 def _reject_retired(spec: dict, where: str, keys: Sequence[str], reason: str) -> None:
     for key in keys:
         if key in spec:
             raise ConfigError(f"'{where}.{key}' is retired: {reason}")
-
-
-def _opt_float(spec: dict, key: str) -> Optional[float]:
-    value = spec.get(key)
-    return None if value is None else float(value)
 
 
 def parse_controls(doc: dict, n: int) -> Tuple[List[PauliSum], str]:
@@ -329,7 +329,7 @@ def write_trace_csv(path: Path, trace: RunTrace, tracked: int) -> None:
     tracked eigenstates.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    r = trace.controls.shape[1] if trace.controls.size else len(trace.final_controls)
+    r = trace.controls.shape[1]
     header = (
         ["layer"]
         + [f"u_{q + 1}" for q in range(r)]
@@ -412,8 +412,6 @@ def _run_target(
     track = [pair[1] for pair in reference] if track is None else track
 
     def run(alphas: Sequence[float]) -> RunTrace:
-        if not alphas:
-            return run_falqon(exp.h0, exp.controls, exp.psi0, config, track_states=track)
         p_op = exp.shifted_operator(alphas, reference)
         return run_fqae(exp.h0, exp.controls, p_op, exp.psi0, config, track_states=track)
 
@@ -462,13 +460,9 @@ def cmd_run(args) -> int:
         "alphas": list(map(float, alphas)),
         "layers_completed": int(trace.layers.size),
         "aborted_layer": trace.aborted_layer,
-        "final_energy": float(trace.energy[-1]) if trace.energy.size else trace.initial_energy,
-        "final_lyapunov": (
-            float(trace.lyapunov[-1]) if trace.lyapunov.size else trace.initial_lyapunov
-        ),
-        "final_fidelities": [float(f) for f in trace.fidelities[-1]]
-        if trace.fidelities.size
-        else [],
+        "final_energy": float(trace.energy[-1]),
+        "final_lyapunov": float(trace.lyapunov[-1]),
+        "final_fidelities": [float(f) for f in trace.fidelities[-1]],
         "final_controls": [float(u) for u in trace.final_controls],
         "wall_time_s": wall,
         "trace": str(trace_path),
@@ -488,19 +482,23 @@ def _stage_overrides(doc: dict, exp: Experiment, count: int):
 
     states = []
     configs = []
-    for entry in stages:
+    for s, entry in enumerate(stages):
         if not isinstance(entry, dict):
             raise ConfigError("each 'stages' entry must be an object")
         states.append(parse_initial_state(entry.get("initial_state"), exp.n))
         cfg = exp.config
         gains = entry.get("gains")
+        depth = _as_int(entry.get("depth", cfg.depth), f"stages[{s}].depth")
+        slices = _as_int(
+            entry.get("trotter_slices", cfg.trotter_slices), f"stages[{s}].trotter_slices"
+        )
         try:
             configs.append(
                 replace(
                     cfg,
                     dt=float(entry.get("dt", cfg.dt)),
-                    depth=int(entry.get("depth", cfg.depth)),
-                    trotter_slices=int(entry.get("trotter_slices", cfg.trotter_slices)),
+                    depth=depth,
+                    trotter_slices=slices,
                     gains=cfg.gains if gains is None else _parse_gains(gains, len(cfg.gains)),
                 )
             )
@@ -515,6 +513,8 @@ def cmd_spectrum(args) -> int:
     count = _as_int(args.count if args.count is not None else doc.get("count", 1), "count")
     if count < 1:
         raise ConfigError("'count' must be at least 1")
+    if count > 2 ** exp.n:
+        raise ConfigError(f"'count' must be at most 2**n = {2 ** exp.n}, got {count}")
 
     alphas = resolve_alphas(doc, exp.h0, count - 1)
     reference = exp.reference(count)
@@ -642,11 +642,13 @@ def _point_experiments(payload: dict) -> List[Experiment]:
 
 
 def _sweep_point(payload: dict) -> dict:
-    """Run one sweep point in a worker process; never raises.
+    """Run one sweep point in a worker process.
 
-    The ``n`` axis picks the largest ``sweep.dt_candidates`` entry at
-    which every instance keeps V descending; the other axes run once at
-    the config's dt.
+    A config error or a runtime failure (a failed run, time-step search
+    or alpha search) becomes a NaN row with its message; any other
+    exception is a bug and propagates.  The ``n`` axis picks the largest
+    ``sweep.dt_candidates`` entry at which every instance keeps V
+    descending; the other axes run once at the config's dt.
     """
     axis = payload["axis"]
     value = payload["value"]
@@ -680,7 +682,7 @@ def _sweep_point(payload: dict) -> dict:
             "fidelity_se": se,
             "mean_energy": float(energies.mean()),
         }
-    except Exception as exc:  # a failed point must not sink the sweep
+    except (ConfigError, RuntimeError) as exc:  # a failed point must not sink the sweep
         return {
             "axis": axis,
             "value": value,

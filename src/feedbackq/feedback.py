@@ -18,7 +18,7 @@ spectrum one eigenstate at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -362,35 +362,26 @@ class FeedbackConfig:
 
     dt and the per-channel gains set the layer unitaries and the control
     law; depth is the layer count.  backend selects the controller
-    estimator; epsilon and budget parameterize it, and
-    `exact` is the overlap route at the exact budget.  The
-    remaining fields are diagnostics: trotter_slices subdivides each
+    estimator; budget parameterizes it, and `exact` is the overlap
+    route at the exact budget.  Every run starts from zero controls.
+    The remaining fields are diagnostics: trotter_slices subdivides each
     first-order step (default one slice per layer), record_states keeps
-    per-layer statevectors, the stop thresholds enable optional early
-    exits, and abort_on_increase cuts a run short the moment the
-    Lyapunov value rises by more than the given amount (used by the
-    time-step search).
+    per-layer statevectors, and abort_on_increase cuts a run short the
+    moment the Lyapunov value rises by more than the given amount (used
+    by the time-step search).
     """
 
     dt: float
     gains: Tuple[float, ...]
     depth: int
     backend: str = "exact"
-    initial_controls: Optional[Tuple[float, ...]] = None
     budget: ShotBudget = EXACT
-    epsilon: Optional[float] = None
     trotter_slices: int = 1
     record_states: bool = False
-    stop_control_threshold: Optional[float] = None
-    stop_value_threshold: Optional[float] = None
     abort_on_increase: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
-        if self.initial_controls is not None:
-            object.__setattr__(
-                self, "initial_controls", tuple(float(u) for u in self.initial_controls)
-            )
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if any(g <= 0 for g in self.gains) or not self.gains:
@@ -399,10 +390,6 @@ class FeedbackConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.initial_controls is not None and len(self.initial_controls) != len(self.gains):
-            raise ValueError("initial_controls length must match gains")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.trotter_slices < 1:
             raise ValueError(f"trotter_slices must be >= 1, got {self.trotter_slices}")
 
@@ -498,14 +485,13 @@ def run_fqae(
             return lambda state, b: _controller_from_pieces(state, comms[q], h_ctrl, p_op, gain, b)
         if backend == "grad_fd":
             return lambda state, b: controller_grad_fd(
-                state, h_ctrl, p_op, gain, config.dt,
-                epsilon=config.epsilon, budget=b, slices=slices,
+                state, h_ctrl, p_op, gain, config.dt, budget=b, slices=slices
             )
         return lambda state, b: controller_grad_psr(state, h_ctrl, p_op, gain, config.dt, budget=b)
 
     controllers = [bind(q) for q in range(r)]
 
-    controls = (0.0,) * r if config.initial_controls is None else config.initial_controls
+    controls = (0.0,) * r
     state = psi0.copy()
     initial_v = lyapunov_value(state, p_op)
     initial_e = expectation(state, h0)
@@ -573,18 +559,6 @@ def run_fqae(
                     )
         controls = tuple(nxt)
 
-        if (
-            config.stop_control_threshold is not None
-            and max(abs(u) for u in controls) < config.stop_control_threshold
-        ):
-            break
-        if (
-            config.stop_value_threshold is not None
-            and len(v_rows) >= 2
-            and v_rows[-2] - v_rows[-1] < config.stop_value_threshold
-        ):
-            break
-
     return _trace(controls)
 
 
@@ -595,9 +569,8 @@ def run_falqon(
     config: FeedbackConfig,
     track_states: Sequence[StateVector] = (),
 ) -> RunTrace:
-    """Ground-state special case: no shifts, controls seeded at zero."""
-    cfg = replace(config, initial_controls=(0.0,) * len(h_ctrls))
-    return run_fqae(h0, h_ctrls, ShiftedOperator(h0, ()), psi0, cfg, track_states)
+    """Ground-state special case: no shifts."""
+    return run_fqae(h0, h_ctrls, ShiftedOperator(h0, ()), psi0, config, track_states)
 
 
 @dataclass

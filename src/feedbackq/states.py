@@ -18,7 +18,6 @@ same flip mask (int64, 8 bytes per amplitude) and an int8 sign vector
 
 from __future__ import annotations
 
-import struct
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -371,24 +370,3 @@ def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[floa
     return [
         (float(evals[i]), StateVector(evecs[:, i], copy=True)) for i in range(upto)
     ]
-
-
-def save_state(state: StateVector, path) -> None:
-    """Binary dump: little-endian uint32 qubit count, then interleaved
-    re/im float64 amplitudes."""
-    flat = np.empty(2 * state.amps.size, dtype="<f8")
-    flat[0::2] = state.amps.real
-    flat[1::2] = state.amps.imag
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", state.n))
-        fh.write(flat.tobytes())
-
-
-def load_state(path) -> StateVector:
-    """Inverse of save_state."""
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<I", fh.read(4))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 << n:
-        raise ValueError(f"expected {2 << n} floats for n={n}, found {raw.size}")
-    return StateVector(raw[0::2] + 1j * raw[1::2], copy=False)

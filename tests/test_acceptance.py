@@ -421,7 +421,7 @@ def test_module_invariant_suites():
         )
         shiftless = run_fqae(
             BENCH, Y_CTRLS, ShiftedOperator(BENCH, ()), StateVector.plus(2),
-            FeedbackConfig(dt=0.08, gains=(1.5, 1.5), depth=40, initial_controls=(0.0, 0.0)),
+            FeedbackConfig(dt=0.08, gains=(1.5, 1.5), depth=40),
         )
         falqon = run_falqon(BENCH, Y_CTRLS, StateVector.plus(2), cfg)
         reduction_ok = (

@@ -173,15 +173,23 @@ def test_config_rejection_paths(tmp_path, capsys):
                             alpha={"strategy": "fixed", "values": [7.0] * 5},
                             feedback={"dt": 0.08, "gains": [1.0], "depth": 5},
                             sweep={"axis": "seed", "values": [0, 1]})),
+        ("spectrum", bench_doc(count=5, alpha={"strategy": "fixed", "values": [7.0] * 4})),
     ):
         cfg = write_doc(tmp_path, doc, "shift.json")
         assert main([command, "--config", cfg, "--out", str(tmp_path / "shift")]) == EXIT_CONFIG
     assert not list(tmp_path.glob("shift_*"))
 
     # retired keys are rejected by name
+    feedback = {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5}
     for key, doc in (
         ("feedback.psr_literal", bench_doc(feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
                                                      "psr_literal": False})),
+        ("feedback.initial_controls", bench_doc(feedback=dict(feedback, initial_controls=[0, 0]))),
+        ("feedback.epsilon", bench_doc(feedback=dict(feedback, epsilon=1e-5))),
+        ("feedback.stop_control_threshold",
+         bench_doc(feedback=dict(feedback, stop_control_threshold=1e-6))),
+        ("feedback.stop_value_threshold",
+         bench_doc(feedback=dict(feedback, stop_value_threshold=1e-3))),
         ("model.low", bench_doc(model=dict(random_model, low=-2.0))),
         ("model.high", bench_doc(model=dict(random_model, high=2.0))),
     ):
@@ -199,8 +207,12 @@ def test_config_rejection_paths(tmp_path, capsys):
         ("run", "feedback.shots", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
                                                 "backend": "overlap_hadamard", "shots": "many"}}),
         ("spectrum", "count", {"count": "abc"}),
+        ("run", "feedback.depth", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 2.9}}),
+        ("run", "feedback.trotter_slices", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5],
+                                                         "depth": 5, "trotter_slices": 1.7}}),
+        ("spectrum", "stages[0].depth", {"count": 2, "stages": [{"depth": 2.9}, {}]}),
     ],
-    ids=["seed", "target", "shots", "count"],
+    ids=["seed", "target", "shots", "count", "depth", "trotter_slices", "stage_depth"],
 )
 def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, key, overrides):
     cfg = write_doc(tmp_path, bench_doc(**overrides))
@@ -523,9 +535,7 @@ def test_stage_overrides_keep_parent_config(tmp_path, monkeypatch):
 
     feedback = {
         "dt": 0.08, "gains": [1.5, 1.5], "depth": 4, "backend": "grad_fd",
-        "shots": 200, "epsilon": 0.002, "initial_controls": [0.1, -0.1],
-        "stop_control_threshold": 1e-12, "stop_value_threshold": -10.0,
-        "abort_on_increase": 10.0,
+        "shots": 200, "abort_on_increase": 10.0,
     }
     stages = [
         {"dt": 0.05, "depth": 3, "trotter_slices": 2, "gains": 0.5},
@@ -661,14 +671,27 @@ def test_ground_state_run_skips_the_alpha_search(tmp_path, monkeypatch):
     from feedbackq import cli
 
     calls = []
-    original = cli.run_falqon
+    original = cli.run_fqae
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_falqon", counting)
-    monkeypatch.setattr(cli, "run_fqae", None)
+    monkeypatch.setattr(cli, "run_fqae", counting)
     cfg = write_doc(tmp_path, bench_doc(target=0, alpha={"strategy": "iterative"}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "ground")]) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_sweep_point_propagates_untyped_errors(tmp_path, monkeypatch):
+    """Only config and runtime failures become NaN rows; a bug propagates."""
+    from feedbackq import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_run_target", broken)
+    cfg = write_doc(tmp_path, ising_sweep_doc("seed", [0, 1]))
+    with pytest.raises(KeyError):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "bug")])
+    assert not (tmp_path / "bug_sweep.csv").exists()

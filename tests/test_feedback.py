@@ -88,7 +88,7 @@ def test_falqon_is_the_shiftless_special_case():
     for _ in range(4):
         coeffs = rng.uniform(-1, 1, size=3)
         h0 = PauliSum([("ZI", coeffs[0]), ("IZ", coeffs[1]), ("XX", coeffs[2])])
-        cfg = bench_config(depth=25, initial_controls=(0.0, 0.0))
+        cfg = bench_config(depth=25)
         a = run_fqae(h0, Y_CTRLS, ShiftedOperator(h0, ()), StateVector.plus(2), cfg)
         b = run_falqon(h0, Y_CTRLS, StateVector.plus(2), bench_config(depth=25))
         assert np.array_equal(a.controls, b.controls)
@@ -277,25 +277,6 @@ def test_abort_on_increase_truncates():
     assert trace.depth < 100
 
 
-def test_stop_thresholds_shorten_runs():
-    near_fixed = run_falqon(
-        BENCH, Y_CTRLS, BENCH_REF[0][1],
-        bench_config(stop_control_threshold=1e-6),
-    )
-    assert near_fixed.depth == 1
-    plateaued = run_fqae(
-        BENCH, Y_CTRLS, bench_p(), StateVector.plus(2),
-        bench_config(stop_value_threshold=1e-3),
-    )
-    assert plateaued.depth < 100
-
-
-def test_initial_controls_are_applied_first():
-    cfg = bench_config(depth=5, initial_controls=(0.3, -0.2))
-    trace = run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), cfg)
-    assert tuple(trace.controls[0]) == (0.3, -0.2)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         FeedbackConfig(dt=0.0, gains=(1.0,), depth=5)
@@ -307,8 +288,6 @@ def test_config_validation():
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=0)
     with pytest.raises(ValueError):
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, backend="tensor")
-    with pytest.raises(ValueError):
-        FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, initial_controls=(0.0, 0.0))
     with pytest.raises(ValueError):
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, trotter_slices=0)
 

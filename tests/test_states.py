@@ -14,11 +14,9 @@ from feedbackq import (
     expectation,
     fidelity,
     inner,
-    load_state,
     pauli_expectation,
     pauli_matrix_element,
     reference_spectrum,
-    save_state,
 )
 from feedbackq.states import apply_pauli
 
@@ -202,13 +200,3 @@ def test_reference_spectrum_diagonal_fast_path():
     pairs = reference_spectrum(h)
     assert [round(e, 10) for e, _ in pairs] == [-2.5, -1.5, 0.5, 3.5]
     assert np.allclose(pairs[0][1].amps, StateVector.basis(2, "11").amps)
-
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(59)
-    state = _sv(random_state(rng, 4))
-    path = tmp_path / "state.bin"
-    save_state(state, path)
-    back = load_state(path)
-    assert back.n == 4
-    assert np.allclose(back.amps, state.amps)
