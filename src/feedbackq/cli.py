@@ -10,7 +10,8 @@ Four subcommands cover the experiment shapes the library supports:
     trace per stage plus a spectrum summary.
 ``sweep``
     A family of runs along one axis (``R``, ``n`` or ``seed``) with a
-    per-point aggregate row; points fail independently.
+    per-point aggregate row; points fail independently, and a sweep
+    with a failed point exits 1 after writing its outputs.
 ``validate``
     Informational checks of the convergence assumptions for a config.
 
@@ -98,67 +99,125 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"missing required field '{key}' in {where}")
-    return obj[key]
+# Keys a block may no longer set, with the reason a config error gives.
+RETIRED = {
+    "feedback": {
+        "psr_literal": "grad_psr always uses the exact-law shift",
+        "initial_controls": "every run starts from zero controls",
+        "epsilon": "grad_fd steps by 1e-5 exact, 1e-3 sampled",
+        "stop_control_threshold": "a run stops only at 'depth' or on 'abort_on_increase'",
+        "stop_value_threshold": "a run stops only at 'depth' or on 'abort_on_increase'",
+    },
+    "model": {
+        "low": "instances are drawn from [-2, 2]",
+        "high": "instances are drawn from [-2, 2]",
+        "file": "write the model block inline",
+    },
+}
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, where: str, kind, default=_REQUIRED):
+    """Read `obj[key]` of block `where` ("" at the top level) as `kind`.
+
+    A missing or null field gives `default`, or a config error when the
+    field has none.  See `_value` for the kinds.
+    """
+    name = f"{where}.{key}" if where else key
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field '{name}'")
+        return default
+    return _value(value, name, kind)
+
+
+def _value(value, name: str, kind):
+    """`value` as `kind`, or a config error naming the dotted key `name`.
+
+    int takes a JSON integer or an integral float and float a finite
+    number; neither takes a boolean or a string.  str takes a string,
+    dict an object that sets none of the `RETIRED` keys of block `name`,
+    and `[kind]` a list of `kind` values.
+    """
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return [_value(v, f"{name}[{i}]", kind[0]) for i, v in enumerate(value)]
+    elif kind is dict:
+        if isinstance(value, dict):
+            for key, reason in RETIRED.get(name, {}).items():
+                if key in value:
+                    raise ConfigError(f"'{name}.{key}' is retired: {reason}")
+            return value
+    elif kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        # Compared exactly, so NaN, infinities and integers beyond the
+        # float range all fail.
+        if kind is float and abs(value) <= sys.float_info.max:
+            return float(value)
+    expected = "a list" if isinstance(kind, list) else _KIND_NAMES[kind]
+    raise ConfigError(f"'{name}' must be {expected}, got {value!r}")
+
+
+def _gains(obj: dict, where: str, default: Tuple[float, ...]) -> Tuple[float, ...]:
+    """One gain per channel: a list of them, one number for every channel, or `default`."""
+    kind = [float] if isinstance(obj.get("gains"), list) else float
+    gains = _field(obj, "gains", where, kind, None)
+    if gains is None:
+        return default
+    if isinstance(gains, float):
+        return (gains,) * len(default)
+    if len(gains) != len(default):
+        raise ConfigError(f"{len(default)} control channels need exactly {len(default)} gains")
+    return tuple(gains)
 
 
 def parse_model(spec: dict, base_dir: Path) -> Tuple[PauliSum, dict]:
-    """Build the drift Hamiltonian from an inline spec or a file reference.
+    """Build the drift Hamiltonian from the config's model block.
 
     Returns the operator together with a metadata dict echoed into
     summaries (family, size, instance seed where applicable).
     """
-    if not isinstance(spec, dict):
-        raise ConfigError("'model' must be an object")
-    if "file" in spec:
-        ref = base_dir / str(spec["file"])
-        spec = _load_json(ref)
-
-    family = str(_require(spec, "family", "'model'"))
+    family = _field(spec, "family", "model", str)
     try:
         if family == "ising":
-            n = int(_require(spec, "n", "ising model"))
-            couplings = _require(spec, "couplings", "ising model")
-            fields = _require(spec, "fields", "ising model")
+            n = _field(spec, "n", "model", int)
+            couplings = _field(spec, "couplings", "model", [[float]])
+            fields = _field(spec, "fields", "model", [float])
             built = build_ising(IsingSpec(n, tuple(map(tuple, couplings)), tuple(fields)))
             return built, {"family": family, "n": n}
         if family == "ising_random":
-            n = int(_require(spec, "n", "random ising model"))
-            inst = int(_require(spec, "instance_seed", "random ising model"))
-            _reject_retired(spec, "model", ("low", "high"), "instances are drawn from [-2, 2]")
+            n = _field(spec, "n", "model", int)
+            inst = _field(spec, "instance_seed", "model", int)
             built = build_ising(random_ising(n, inst))
             return built, {"family": family, "n": n, "instance_seed": inst}
         if family == "mfi":
-            n = int(_require(spec, "n", "mfi model"))
-            built = build_mfi(
-                MfiSpec(
-                    n,
-                    float(_require(spec, "J", "mfi model")),
-                    float(_require(spec, "h", "mfi model")),
-                    float(_require(spec, "g", "mfi model")),
-                )
-            )
+            n = _field(spec, "n", "model", int)
+            built = build_mfi(MfiSpec(n, *(_field(spec, k, "model", float) for k in "Jhg")))
             return built, {"family": family, "n": n}
         if family == "mfi_random":
-            n = int(spec.get("n", 12))
-            inst = int(_require(spec, "instance_seed", "random mfi model"))
+            n = _field(spec, "n", "model", int, 12)
+            inst = _field(spec, "instance_seed", "model", int)
             built = build_mfi(random_mfi(n, inst))
             return built, {"family": family, "n": n, "instance_seed": inst}
         if family == "h2":
-            r_val = float(_require(spec, "R", "h2 model"))
-            table = spec.get("table")
+            r_val = _field(spec, "R", "model", float)
+            table = _field(spec, "table", "model", str, None)
             if table is not None:
-                table = base_dir / str(table)
+                table = base_dir / table
                 if not table.exists():
                     raise ConfigError(f"h2 coefficient table not found: {table}")
             built = build_h2(H2Spec.from_table(r_val, path=table))
             return built, {"family": family, "n": 2, "R": r_val}
         if family == "pauli":
-            text = str(_require(spec, "terms", "pauli model"))
-            n = spec.get("n")
-            built = parse_sum(text, n=None if n is None else int(n))
+            text = _field(spec, "terms", "model", str)
+            built = parse_sum(text, n=_field(spec, "n", "model", int, None))
             return built, {"family": family, "n": built.n}
     except ConfigError:
         raise
@@ -167,15 +226,13 @@ def parse_model(spec: dict, base_dir: Path) -> Tuple[PauliSum, dict]:
     raise ConfigError(f"unknown model family '{family}'")
 
 
-def parse_initial_state(spec, n: int) -> StateVector:
+def parse_initial_state(spec: str, n: int) -> StateVector:
     """Accept 'plus' or a computational-basis bitstring like '01'."""
-    if spec is None or spec == "plus":
+    if spec == "plus":
         return StateVector.plus(n)
-    if isinstance(spec, str):
-        if len(spec) == n and set(spec) <= {"0", "1"}:
-            return StateVector.basis(n, spec)
-        raise ConfigError(f"initial state '{spec}' is neither 'plus' nor an {n}-bit string")
-    raise ConfigError("initial state must be a string")
+    if len(spec) == n and set(spec) <= {"0", "1"}:
+        return StateVector.basis(n, spec)
+    raise ConfigError(f"initial state '{spec}' is neither 'plus' nor an {n}-bit string")
 
 
 def parse_feedback(
@@ -185,72 +242,30 @@ def parse_feedback(
     shots_override: Optional[int],
     exact_override: bool,
 ) -> FeedbackConfig:
-    if not isinstance(spec, dict):
-        raise ConfigError("'feedback' must be an object")
-    _reject_retired(spec, "feedback", ("psr_literal",), "grad_psr always uses the exact-law shift")
-    _reject_retired(spec, "feedback", ("initial_controls",), "every run starts from zero controls")
-    _reject_retired(spec, "feedback", ("epsilon",), "grad_fd steps by 1e-5 exact, 1e-3 sampled")
-    _reject_retired(
-        spec, "feedback", ("stop_control_threshold", "stop_value_threshold"),
-        "a run stops only at 'depth' or on 'abort_on_increase'",
-    )
-    shots = spec.get("shots")
+    shots = _field(spec, "shots", "feedback", int, None)
     if exact_override:
         shots = None
     elif shots_override is not None:
         shots = shots_override
-    if shots is not None:
-        shots = _as_int(shots, "feedback.shots")
-    depth = _as_int(_require(spec, "depth", "'feedback'"), "feedback.depth")
-    slices = _as_int(spec.get("trotter_slices", 1), "feedback.trotter_slices")
-    abort = spec.get("abort_on_increase")
-
     try:
         budget = ShotBudget(shots, seed=derive_seed(seed, "shots"))
         return FeedbackConfig(
-            dt=float(_require(spec, "dt", "'feedback'")),
-            gains=_parse_gains(spec.get("gains"), channels),
-            depth=depth,
-            backend=str(spec.get("backend", "exact")),
+            dt=_field(spec, "dt", "feedback", float),
+            gains=_gains(spec, "feedback", (1.0,) * channels),
+            depth=_field(spec, "depth", "feedback", int),
+            backend=_field(spec, "backend", "feedback", str, "exact"),
             budget=budget,
-            trotter_slices=slices,
-            abort_on_increase=None if abort is None else float(abort),
+            trotter_slices=_field(spec, "trotter_slices", "feedback", int, 1),
+            abort_on_increase=_field(spec, "abort_on_increase", "feedback", float, None),
         )
-    except (ValueError, TypeError) as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(f"invalid feedback settings: {exc}") from exc
 
 
-def _parse_gains(value, channels: int) -> Tuple[float, ...]:
-    """One gain per channel from null (all 1.0), a number or a list."""
-    if value is None:
-        return (1.0,) * channels
-    if isinstance(value, (int, float)):
-        return (float(value),) * channels
-    gains = tuple(float(g) for g in value)
-    if len(gains) != channels:
-        raise ValueError(f"{channels} control channels need exactly {channels} gains")
-    return gains
-
-
-def _as_int(value, key: str) -> int:
-    """int(value), refusing a value with a fractional part instead of truncating it."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}") from exc
-    if isinstance(value, float) and number != value:
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    return number
-
-
-def _reject_retired(spec: dict, where: str, keys: Sequence[str], reason: str) -> None:
-    for key in keys:
-        if key in spec:
-            raise ConfigError(f"'{where}.{key}' is retired: {reason}")
-
-
 def parse_controls(doc: dict, n: int) -> Tuple[List[PauliSum], str]:
-    kind = str(doc.get("controls", "y_per_qubit"))
+    kind = _field(doc, "controls", "", str, "y_per_qubit")
     if kind not in CONTROL_KINDS:
         raise ConfigError(f"unknown control kind '{kind}' (choose from {CONTROL_KINDS})")
     return standard_controls(kind, n), kind
@@ -272,18 +287,12 @@ def resolve_alphas(
     Every shift weight must be positive (``bound`` gives 0 for a drift
     without Pauli terms).
     """
-    spec = doc.get("alpha", {"strategy": "bound"})
-    if not isinstance(spec, dict):
-        raise ConfigError("'alpha' must be an object with a 'strategy' field")
-    strategy = str(spec.get("strategy", "bound"))
+    spec = _field(doc, "alpha", "", dict, {})
+    strategy = _field(spec, "strategy", "alpha", str, "bound")
     if strategy == "bound":
         values = [alpha_from_bound(h0)] * shifts
     elif strategy == "fixed":
-        values = _require(spec, "values", "alpha strategy 'fixed'")
-        try:
-            values = [float(v) for v in values]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"alpha strategy 'fixed' needs numeric values: {exc}") from exc
+        values = _field(spec, "values", "alpha", [float])
         if len(values) != shifts:
             raise ConfigError(
                 f"alpha strategy 'fixed' needs {shifts} values, one per projector shift"
@@ -291,10 +300,7 @@ def resolve_alphas(
     elif strategy == "iterative":
         if run_with_alphas is None:
             raise ConfigError("alpha strategy 'iterative' is supported by run and sweep only")
-        try:
-            start = float(spec.get("start", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'alpha.start' must be a number: {exc}") from exc
+        start = _field(spec, "start", "alpha", float, 1.0)
         if not start > 0:
             raise ConfigError(f"'alpha.start' must be positive, got {start}")
 
@@ -363,24 +369,24 @@ class Experiment:
 
     def __init__(self, doc: dict, base_dir: Path, args) -> None:
         self.doc = doc
-        self.seed = _as_int(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
-        self.h0, self.model_meta = parse_model(_require(doc, "model", "config"), base_dir)
+        self.seed = args.seed if args.seed is not None else _field(doc, "seed", "", int, 0)
+        self.h0, self.model_meta = parse_model(_field(doc, "model", "", dict), base_dir)
         self.n = self.h0.n
         self.controls, self.control_kind = parse_controls(doc, self.n)
         self.config = parse_feedback(
-            _require(doc, "feedback", "config"),
+            _field(doc, "feedback", "", dict),
             len(self.controls),
             self.seed,
             args.shots,
             args.exact,
         )
-        self.target = _as_int(doc.get("target", 0), "target")
+        self.target = _field(doc, "target", "", int, 0)
         if self.target < 0:
             raise ConfigError("'target' must be a non-negative eigenstate index")
         if self.target >= 2 ** self.n:
             raise ConfigError(f"'target' must be below 2**n = {2 ** self.n}, got {self.target}")
-        self.psi0 = parse_initial_state(doc.get("initial_state"), self.n)
-        out = args.out if args.out is not None else doc.get("output", DEFAULT_OUTPUT)
+        self.psi0 = parse_initial_state(_field(doc, "initial_state", "", str, "plus"), self.n)
+        out = args.out if args.out is not None else _field(doc, "output", "", str, DEFAULT_OUTPUT)
         self.output = Path(out)
 
     def reference(self, count: int) -> List[Tuple[float, StateVector]]:
@@ -472,45 +478,38 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _stage_overrides(doc: dict, exp: Experiment, count: int):
-    """Per-stage initial states and feedback configs for deflation."""
-    stages = doc.get("stages")
+def _stage_overrides(
+    doc: dict, exp: Experiment, count: int
+) -> List[Tuple[StateVector, FeedbackConfig]]:
+    """One (initial state, feedback config) pair per deflation stage."""
+    stages = _field(doc, "stages", "", [dict], None)
     if stages is None:
-        return exp.psi0, exp.config
-    if not isinstance(stages, list) or len(stages) != count:
+        return [(exp.psi0, exp.config)] * count
+    if len(stages) != count:
         raise ConfigError(f"'stages' must be a list of {count} objects")
 
-    states = []
-    configs = []
+    cfg = exp.config
+    pairs = []
     for s, entry in enumerate(stages):
-        if not isinstance(entry, dict):
-            raise ConfigError("each 'stages' entry must be an object")
-        states.append(parse_initial_state(entry.get("initial_state"), exp.n))
-        cfg = exp.config
-        gains = entry.get("gains")
-        depth = _as_int(entry.get("depth", cfg.depth), f"stages[{s}].depth")
-        slices = _as_int(
-            entry.get("trotter_slices", cfg.trotter_slices), f"stages[{s}].trotter_slices"
-        )
+        where = f"stages[{s}]"
+        psi0 = parse_initial_state(_field(entry, "initial_state", where, str, "plus"), exp.n)
+        changes = {
+            "dt": _field(entry, "dt", where, float, cfg.dt),
+            "depth": _field(entry, "depth", where, int, cfg.depth),
+            "trotter_slices": _field(entry, "trotter_slices", where, int, cfg.trotter_slices),
+            "gains": _gains(entry, where, cfg.gains),
+        }
         try:
-            configs.append(
-                replace(
-                    cfg,
-                    dt=float(entry.get("dt", cfg.dt)),
-                    depth=depth,
-                    trotter_slices=slices,
-                    gains=cfg.gains if gains is None else _parse_gains(gains, len(cfg.gains)),
-                )
-            )
-        except (ValueError, TypeError) as exc:
+            pairs.append((psi0, replace(cfg, **changes)))
+        except ValueError as exc:
             raise ConfigError(f"invalid stage override: {exc}") from exc
-    return (lambda s: states[s]), (lambda s: configs[s])
+    return pairs
 
 
 def cmd_spectrum(args) -> int:
     doc = _load_json(Path(args.config))
     exp = Experiment(doc, Path(args.config).resolve().parent, args)
-    count = _as_int(args.count if args.count is not None else doc.get("count", 1), "count")
+    count = args.count if args.count is not None else _field(doc, "count", "", int, 1)
     if count < 1:
         raise ConfigError("'count' must be at least 1")
     if count > 2 ** exp.n:
@@ -518,7 +517,7 @@ def cmd_spectrum(args) -> int:
 
     alphas = resolve_alphas(doc, exp.h0, count - 1)
     reference = exp.reference(count)
-    psi0, config = _stage_overrides(doc, exp, count)
+    stage_settings = _stage_overrides(doc, exp, count)
     track = [pair[1] for pair in reference]
 
     started = time.perf_counter()
@@ -526,10 +525,8 @@ def cmd_spectrum(args) -> int:
         stages = deflate_spectrum(
             exp.h0,
             exp.controls,
-            psi0,
-            config,
-            count,
-            alphas=alphas,
+            stage_settings,
+            alphas,
             reference=reference,
             track_states=track,
         )
@@ -593,27 +590,23 @@ def _check_retired_keys(doc: dict, sweep: dict) -> None:
 
 def _sweep_payloads(doc: dict, args, base_dir: Path) -> List[dict]:
     """Validate the sweep block; one worker payload per point."""
-    sweep = doc.get("sweep")
-    if not isinstance(sweep, dict):
+    sweep = _field(doc, "sweep", "", dict, None)
+    if sweep is None:
         raise ConfigError("sweep configs need a 'sweep' object")
-    axis = str(args.axis if args.axis is not None else _require(sweep, "axis", "'sweep'"))
+    axis = args.axis if args.axis is not None else _field(sweep, "axis", "sweep", str)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}' (choose from R, n, seed)")
-    values = _require(sweep, "values", "'sweep'")
-    if not isinstance(values, list) or not values:
+    values = _field(sweep, "values", "sweep", [SWEEP_AXES[axis][1]])
+    if not values:
         raise ConfigError("'sweep.values' must be a non-empty list")
-    try:
-        values = [SWEEP_AXES[axis][1](v) for v in values]
-        instances = int(sweep.get("instances", 15))
-        candidates = [float(c) for c in sweep.get("dt_candidates", DEFAULT_DT_LADDER)]
-        tolerance = float(sweep.get("monotone_tolerance", 1e-6))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep settings: {exc}") from exc
+    instances = _field(sweep, "instances", "sweep", int, 15)
+    candidates = _field(sweep, "dt_candidates", "sweep", [float], list(DEFAULT_DT_LADDER))
+    tolerance = _field(sweep, "monotone_tolerance", "sweep", float, 1e-6)
     if instances < 1 or not candidates:
         raise ConfigError("'sweep.instances' and 'sweep.dt_candidates' must not be empty")
     _check_retired_keys(doc, sweep)
     if args.seed is not None:
-        doc["seed"] = int(args.seed)
+        doc["seed"] = args.seed
     return [
         {"doc": doc, "axis": axis, "value": v, "base_dir": str(base_dir),
          "shots": args.shots, "exact": args.exact, "instances": instances,
@@ -629,10 +622,10 @@ def _point_experiments(payload: dict) -> List[Experiment]:
     every other point is the config with one model field replaced.
     """
     doc, axis, value = payload["doc"], payload["axis"], payload["value"]
-    model = dict(_require(doc, "model", "config"), **{SWEEP_AXES[axis][0]: value})
+    model = dict(_field(doc, "model", "", dict), **{SWEEP_AXES[axis][0]: value})
     models = [model]
     if axis == "n":
-        seed = _as_int(doc.get("seed", 0), "seed")
+        seed = _field(doc, "seed", "", int, 0)
         models = [
             dict(model, instance_seed=derive_seed(seed, "sweep", value, i))
             for i in range(payload["instances"])
@@ -713,7 +706,7 @@ def cmd_sweep(args) -> int:
         if axis != "R" or not isinstance(exc.__cause__, RowNotTabulatedError):
             raise
 
-    out = Path(args.out if args.out is not None else doc.get("output", DEFAULT_OUTPUT))
+    out = Path(args.out if args.out is not None else _field(doc, "output", "", str, DEFAULT_OUTPUT))
     started = time.perf_counter()
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -748,7 +741,7 @@ def cmd_sweep(args) -> int:
         },
     )
     print(f"wrote {csv_path} ({len(rows)} points, {len(failures)} failed)")
-    return EXIT_OK
+    return EXIT_RUNTIME if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

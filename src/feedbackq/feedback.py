@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -382,10 +382,10 @@ class FeedbackConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if any(g <= 0 for g in self.gains) or not self.gains:
-            raise ValueError("gains must be a non-empty list of positive reals")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.gains or not all(0 < g < math.inf for g in self.gains):
+            raise ValueError("gains must be a non-empty list of positive finite reals")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.backend not in BACKENDS:
@@ -586,49 +586,44 @@ class DeflationStage:
 def deflate_spectrum(
     h0: PauliSum,
     h_ctrls: Sequence[PauliSum],
-    psi0: Union[StateVector, Callable[[int], StateVector]],
-    config: Union[FeedbackConfig, Callable[[int], FeedbackConfig]],
-    count: int,
-    alphas: Optional[Sequence[float]] = None,
-    reference: Optional[Sequence[Tuple[float, StateVector]]] = None,
+    stages: Sequence[Tuple[StateVector, FeedbackConfig]],
+    alphas: Sequence[float],
+    reference: Sequence[Tuple[float, StateVector]] = (),
     track_states: Sequence[StateVector] = (),
 ) -> List[DeflationStage]:
     """Climb the spectrum: run, pin the result under a projector shift, repeat.
 
+    `stages` holds one (initial state, feedback config) pair per stage.
     Stage 0 runs with no shifts (plain ground-state descent); stage s
-    shifts every previously converged state by alphas[j] (default: the
-    one-norm bound of h0 for all of them).  `psi0` and `config` may be
-    per-stage callables.  When `reference` eigenpairs are supplied, a
-    stage whose final state has max fidelity below `DEFLATION_WARN_FIDELITY`
-    against all of them gets a warning string embedded in its result.
-    Stages are returned in ascending energy order.
+    shifts the final state of each earlier stage j by alphas[j], so
+    there is one alpha fewer than stages.  When `reference` eigenpairs
+    are supplied, a stage whose final state has max fidelity below
+    `DEFLATION_WARN_FIDELITY` against all of them gets a warning string
+    embedded in its result.  Stages are returned in ascending energy
+    order.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    default_alpha = alpha_from_bound(h0)
-    stages: List[DeflationStage] = []
+    if not stages or len(alphas) != len(stages) - 1:
+        raise ValueError(
+            f"deflation needs at least one stage and one alpha fewer than stages, "
+            f"got {len(stages)} stages and {len(alphas)} alphas"
+        )
+    results: List[DeflationStage] = []
     found: List[Shift] = []
-    for s in range(count):
-        cfg = config(s) if callable(config) else config
-        start = psi0(s) if callable(psi0) else psi0
-        p_op = ShiftedOperator(h0, tuple(found))
-        trace = run_fqae(h0, h_ctrls, p_op, start, cfg, track_states)
+    for s, (start, cfg) in enumerate(stages):
+        trace = run_fqae(h0, h_ctrls, ShiftedOperator(h0, found), start, cfg, track_states)
         energy = expectation(trace.final_state, h0)
         warning = None
-        if reference is not None:
+        if reference:
             best = max(fidelity(vec, trace.final_state) for _, vec in reference)
             if best < DEFLATION_WARN_FIDELITY:
                 warning = (
                     f"stage {s} max reference fidelity {best:.3f} "
                     f"below threshold {DEFLATION_WARN_FIDELITY}"
                 )
-        stages.append(DeflationStage(energy, trace.final_state, trace, warning))
-        if alphas is not None and s < len(alphas):
-            alpha = float(alphas[s])
-        else:
-            alpha = default_alpha
-        found.append(Shift(alpha, trace.final_state, energy))
-    return sorted(stages, key=lambda st: st.energy)
+        results.append(DeflationStage(energy, trace.final_state, trace, warning))
+        if s < len(alphas):
+            found.append(Shift(alphas[s], trace.final_state, energy))
+    return sorted(results, key=lambda st: st.energy)
 
 
 def tune_time_step(

@@ -151,7 +151,7 @@ class StateVector:
         if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
             raise ValueError("amplitude count must be a power of two")
         norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}")
         self.amps = arr
         self.n = arr.size.bit_length() - 1

@@ -38,6 +38,19 @@ def bench_doc(**overrides):
     return doc
 
 
+def ising_sweep_doc(axis, values, **feedback):
+    return {
+        "seed": 5,
+        "model": {"family": "ising_random", "n": 3, "instance_seed": 0},
+        "controls": "x_mixer",
+        "target": 1,
+        "alpha": {"strategy": "fixed", "values": [4.0]},
+        "feedback": dict({"dt": 0.05, "gains": [1.0], "depth": 20}, **feedback),
+        "sweep": {"axis": axis, "values": values, "instances": 2,
+                  "dt_candidates": [0.05], "monotone_tolerance": 10.0},
+    }
+
+
 def write_doc(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -192,6 +205,7 @@ def test_config_rejection_paths(tmp_path, capsys):
          bench_doc(feedback=dict(feedback, stop_value_threshold=1e-3))),
         ("model.low", bench_doc(model=dict(random_model, low=-2.0))),
         ("model.high", bench_doc(model=dict(random_model, high=2.0))),
+        ("model.file", bench_doc(model={"file": "model.json"})),
     ):
         capsys.readouterr()
         cfg = write_doc(tmp_path, doc, "retired.json")
@@ -199,25 +213,127 @@ def test_config_rejection_paths(tmp_path, capsys):
         assert f"'{key}' is retired" in capsys.readouterr().err
 
 
+FEEDBACK = {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5}
+STAGES = {"count": 2, "stages": [{}, {}]}
+
+
+def _stage(**fields):
+    return dict(STAGES, stages=[fields, {}])
+
+
+def _sweep_with(**fields):
+    doc = ising_sweep_doc("n", [3])
+    doc["sweep"].update(fields)
+    return doc
+
+
+def _bad_cases(values, fields):
+    """One (command, key, config) case per bad value and field.
+
+    Each field is (command, dotted key, id, function of the bad value
+    returning the config).
+    """
+    return [
+        pytest.param(command, key, make(value), id=f"{name}-{tag}")
+        for command, key, name, make in fields
+        for tag, value in values.items()
+    ]
+
+
+# Integer fields that already refused fractions.
+INTEGER_FIELDS = [
+    ("run", "seed", "seed", lambda v: bench_doc(seed=v)),
+    ("run", "target", "target", lambda v: bench_doc(target=v)),
+    ("spectrum", "count", "count", lambda v: bench_doc(count=v)),
+    ("run", "feedback.shots", "shots", lambda v: bench_doc(feedback=dict(FEEDBACK, shots=v))),
+    ("run", "feedback.depth", "depth", lambda v: bench_doc(feedback=dict(FEEDBACK, depth=v))),
+    ("run", "feedback.trotter_slices", "trotter_slices",
+     lambda v: bench_doc(feedback=dict(FEEDBACK, trotter_slices=v))),
+    ("spectrum", "stages[0].depth", "stage_depth", lambda v: bench_doc(**_stage(depth=v))),
+    ("spectrum", "stages[0].trotter_slices", "stage_slices",
+     lambda v: bench_doc(**_stage(trotter_slices=v))),
+]
+# Integer fields that truncated a fraction.
+TRUNCATED_FIELDS = [
+    ("run", "model.n", "model_n",
+     lambda v: bench_doc(model=dict(bench_doc()["model"], n=v))),
+    ("run", "model.instance_seed", "instance_seed",
+     lambda v: bench_doc(model={"family": "ising_random", "n": 2, "instance_seed": v})),
+    ("sweep", "sweep.instances", "instances",
+     lambda v: _sweep_with(instances=v)),
+    ("sweep", "sweep.values[0]", "n_axis", lambda v: ising_sweep_doc("n", [v])),
+    ("sweep", "sweep.values[0]", "seed_axis", lambda v: ising_sweep_doc("seed", [v])),
+]
+
+
 @pytest.mark.parametrize(
-    "command, key, overrides",
+    "command, key, doc",
     [
-        ("run", "seed", {"seed": "abc"}),
-        ("run", "target", {"target": "one"}),
-        ("run", "feedback.shots", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 5,
-                                                "backend": "overlap_hadamard", "shots": "many"}}),
-        ("spectrum", "count", {"count": "abc"}),
-        ("run", "feedback.depth", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5], "depth": 2.9}}),
-        ("run", "feedback.trotter_slices", {"feedback": {"dt": 0.08, "gains": [1.5, 1.5],
-                                                         "depth": 5, "trotter_slices": 1.7}}),
-        ("spectrum", "stages[0].depth", {"count": 2, "stages": [{"depth": 2.9}, {}]}),
-    ],
-    ids=["seed", "target", "shots", "count", "depth", "trotter_slices", "stage_depth"],
+        pytest.param("run", "seed", bench_doc(seed="abc"), id="seed"),
+        pytest.param("run", "target", bench_doc(target="one"), id="target"),
+        pytest.param("run", "feedback.shots", bench_doc(
+            feedback=dict(FEEDBACK, backend="overlap_hadamard", shots="many")), id="shots"),
+        pytest.param("spectrum", "count", bench_doc(count="abc"), id="count"),
+        pytest.param("run", "feedback.depth", bench_doc(feedback=dict(FEEDBACK, depth=2.9)),
+                     id="depth"),
+        pytest.param("run", "feedback.trotter_slices",
+                     bench_doc(feedback=dict(FEEDBACK, trotter_slices=1.7)), id="trotter_slices"),
+        pytest.param("spectrum", "stages[0].depth", bench_doc(**_stage(depth=2.9)),
+                     id="stage_depth"),
+    ]
+    + _bad_cases({"inf": math.inf, "true": True}, INTEGER_FIELDS)
+    + _bad_cases({"inf": math.inf, "fraction": 2.5, "true": True}, TRUNCATED_FIELDS),
 )
-def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, key, overrides):
-    cfg = write_doc(tmp_path, bench_doc(**overrides))
+def test_non_integer_field_is_a_config_error(tmp_path, capsys, command, key, doc):
+    cfg = write_doc(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
     assert f"'{key}' must be an integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad_*"))
+
+
+def _with_alpha(**alpha):
+    return bench_doc(alpha=alpha)
+
+
+NUMBER_FIELDS = [
+    ("run", "feedback.dt", "dt", lambda v: bench_doc(feedback=dict(FEEDBACK, dt=v))),
+    ("run", "feedback.gains", "gain", lambda v: bench_doc(feedback=dict(FEEDBACK, gains=v))),
+    ("run", "feedback.gains[1]", "gains",
+     lambda v: bench_doc(feedback=dict(FEEDBACK, gains=[1.5, v]))),
+    ("run", "feedback.abort_on_increase", "abort",
+     lambda v: bench_doc(feedback=dict(FEEDBACK, abort_on_increase=v))),
+    ("run", "alpha.values[0]", "alpha_values", lambda v: _with_alpha(strategy="fixed", values=[v])),
+    ("run", "alpha.start", "alpha_start", lambda v: _with_alpha(strategy="iterative", start=v)),
+    ("run", "model.J", "mfi_J", lambda v: bench_doc(
+        model={"family": "mfi", "n": 3, "J": v, "h": 1.0, "g": 0.5},
+        feedback=dict(FEEDBACK, gains=1.0))),
+    ("run", "model.R", "h2_R", lambda v: bench_doc(model={"family": "h2", "R": v})),
+    ("run", "model.fields[1]", "ising_fields",
+     lambda v: bench_doc(model=dict(bench_doc()["model"], fields=[1.0, v]))),
+    ("run", "model.couplings[0][1]", "ising_couplings",
+     lambda v: bench_doc(model=dict(bench_doc()["model"], couplings=[[0.0, v], [0.5, 0.0]]))),
+    ("spectrum", "stages[0].dt", "stage_dt", lambda v: bench_doc(**_stage(dt=v))),
+    ("spectrum", "stages[0].gains", "stage_gain", lambda v: bench_doc(**_stage(gains=v))),
+    ("sweep", "sweep.dt_candidates[0]", "dt_candidates",
+     lambda v: _sweep_with(dt_candidates=[v])),
+    ("sweep", "sweep.monotone_tolerance", "monotone_tolerance",
+     lambda v: _sweep_with(monotone_tolerance=v)),
+    ("sweep", "sweep.values[0]", "r_axis", lambda v: dict(
+        bench_doc(model={"family": "h2", "R": 1.05}, alpha={"strategy": "fixed", "values": [1.8]}),
+        sweep={"axis": "R", "values": [v]})),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, doc",
+    _bad_cases({"nan": math.nan, "inf": math.inf, "true": True}, NUMBER_FIELDS)
+    + [pytest.param("run", "feedback.gains", bench_doc(feedback=dict(FEEDBACK, gains="12")),
+                    id="gains-string")],
+)
+def test_non_number_field_is_a_config_error(tmp_path, capsys, command, key, doc):
+    cfg = write_doc(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert f"'{key}' must be a number" in capsys.readouterr().err
     assert not list(tmp_path.glob("bad_*"))
 
 
@@ -301,7 +417,7 @@ def test_sweep_r_axis_records_missing_rows_as_nan(tmp_path):
     }
     cfg = write_doc(tmp_path, doc)
     out = str(tmp_path / "rsweep")
-    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_RUNTIME
     rows = read_rows(tmp_path / "rsweep_sweep.csv")
     assert rows[0] == SWEEP_COLUMNS
     assert len(rows) == 3
@@ -337,7 +453,7 @@ def test_sweep_r_axis_rejects_missing_table(tmp_path):
     doc["model"].pop("table")
     doc["sweep"]["values"] = [2.0, 1.05]
     cfg = write_doc(tmp_path, doc)
-    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_RUNTIME
     rows = read_rows(tmp_path / "rsweep_sweep.csv")
     missing, tabulated = (dict(zip(rows[0], row)) for row in rows[1:])
     assert float(missing["value"]) == 2.0 and missing["mean_fidelity"] == "nan"
@@ -547,9 +663,9 @@ def test_stage_overrides_keep_parent_config(tmp_path, monkeypatch):
     seen = []
     original = cli.deflate_spectrum
 
-    def recording(h0, h_ctrls, psi0, config, count, **kwargs):
-        seen.extend(config(s) for s in range(count))
-        return original(h0, h_ctrls, psi0, config, count, **kwargs)
+    def recording(h0, h_ctrls, stages, alphas, **kwargs):
+        seen.extend(config for _, config in stages)
+        return original(h0, h_ctrls, stages, alphas, **kwargs)
 
     monkeypatch.setattr(cli, "deflate_spectrum", recording)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == EXIT_OK
@@ -577,19 +693,6 @@ def test_null_gains_mean_unit_gain(tmp_path):
 
     short = write_doc(tmp_path, bench_doc(feedback={"dt": 0.08, "gains": [1.0], "depth": 10}))
     assert main(["run", "--config", short, "--out", str(tmp_path / "short")]) == EXIT_CONFIG
-
-
-def ising_sweep_doc(axis, values, **feedback):
-    return {
-        "seed": 5,
-        "model": {"family": "ising_random", "n": 3, "instance_seed": 0},
-        "controls": "x_mixer",
-        "target": 1,
-        "alpha": {"strategy": "fixed", "values": [4.0]},
-        "feedback": dict({"dt": 0.05, "gains": [1.0], "depth": 20}, **feedback),
-        "sweep": {"axis": axis, "values": values, "instances": 2,
-                  "dt_candidates": [0.05], "monotone_tolerance": 10.0},
-    }
 
 
 def sweep_rows(tmp_path, doc, name, *flags):

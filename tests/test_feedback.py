@@ -278,8 +278,12 @@ def test_abort_on_increase_truncates():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FeedbackConfig(dt=0.0, gains=(1.0,), depth=5)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FeedbackConfig(dt=dt, gains=(1.0,), depth=5)
+    for gain in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FeedbackConfig(dt=0.1, gains=(1.0, gain), depth=5)
     with pytest.raises(ValueError):
         FeedbackConfig(dt=0.1, gains=(), depth=5)
     with pytest.raises(ValueError):
@@ -323,8 +327,7 @@ def test_alpha_iterative_doubles_until_accepted():
 
 def test_deflation_climbs_the_benchmark_spectrum():
     stages = deflate_spectrum(
-        BENCH, Y_CTRLS, StateVector.plus(2),
-        bench_config(depth=600), count=2, alphas=[7.0],
+        BENCH, Y_CTRLS, [(StateVector.plus(2), bench_config(depth=600))] * 2, [7.0],
         reference=BENCH_REF[:2],
     )
     assert len(stages) == 2
@@ -335,28 +338,34 @@ def test_deflation_climbs_the_benchmark_spectrum():
     assert fidelity(BENCH_REF[1][1], stages[1].state) > 0.9
 
 
-def test_deflation_accepts_per_stage_settings():
-    starts, dts = [], []
+def test_deflation_accepts_per_stage_settings(monkeypatch):
+    from feedbackq import feedback
 
-    def psi0(stage):
-        starts.append(stage)
-        return StateVector.plus(2)
+    seen = []
+    original = feedback.run_fqae
 
-    def config(stage):
-        dt = 0.08 if stage == 0 else 0.04
-        dts.append(dt)
-        return bench_config(dt=dt, depth=3)
+    def recording(h0, h_ctrls, p_op, psi0, config, track_states=()):
+        seen.append((psi0, config, p_op.alphas))
+        return original(h0, h_ctrls, p_op, psi0, config, track_states)
 
-    stages = deflate_spectrum(BENCH, Y_CTRLS, psi0, config, count=2, alphas=[7.0])
+    monkeypatch.setattr(feedback, "run_fqae", recording)
+    settings = [
+        (StateVector.plus(2), bench_config(dt=0.08, depth=3)),
+        (StateVector.basis(2, "01"), bench_config(dt=0.04, depth=3)),
+    ]
+    stages = deflate_spectrum(BENCH, Y_CTRLS, settings, [7.0])
     assert len(stages) == 2
-    assert starts == [0, 1]
-    assert dts == [0.08, 0.04]
+    assert [(psi0, config) for psi0, config, _ in seen] == settings
+    assert [alphas for _, _, alphas in seen] == [(), (7.0,)]
+    for alphas in ([], [7.0, 7.0]):
+        with pytest.raises(ValueError):
+            deflate_spectrum(BENCH, Y_CTRLS, settings, alphas)
 
 
 def test_deflation_warns_on_unconverged_stage():
     stages = deflate_spectrum(
-        BENCH, Y_CTRLS, StateVector.plus(2),
-        bench_config(depth=1), count=1, reference=BENCH_REF[:1],
+        BENCH, Y_CTRLS, [(StateVector.plus(2), bench_config(depth=1))], [],
+        reference=BENCH_REF[:1],
     )
     assert stages[0].warning is not None
     assert "below threshold" in stages[0].warning

@@ -162,8 +162,9 @@ def test_basis_and_plus_constructors():
 
 
 def test_norm_guard():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0], dtype=complex))
+    for amps in ([1.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError):
+            StateVector(np.array(amps, dtype=complex))
 
 
 def test_from_amplitudes_normalizes():
