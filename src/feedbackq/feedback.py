@@ -61,6 +61,10 @@ class FeedbackRunError(RuntimeError):
         self.partial = partial
 
 
+class AlphaSearchError(FeedbackRunError):
+    """`alpha_iterative` ran out of doublings; `partial` holds the last run's result."""
+
+
 @dataclass(frozen=True)
 class Shift:
     """One projector shift alpha * |state><state| with the state's drift energy."""
@@ -70,7 +74,7 @@ class Shift:
     energy: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"shift weight must be positive, got {self.alpha}")
 
 
@@ -121,15 +125,17 @@ def alpha_iterative(
     `run(alpha)` executes the experiment; `converged_to_lower(result)`
     reports whether the final state's dominant fidelity (above 1/2) sits
     on an already-known eigenstate, which means alpha was too small.
+    Raises `AlphaSearchError` when no doubling is enough.
     """
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     alpha = float(alpha0)
     for _ in range(max_doublings + 1):
-        if not converged_to_lower(run(alpha)):
+        result = run(alpha)
+        if not converged_to_lower(result):
             return alpha
         alpha *= 2.0
-    raise RuntimeError(f"no sufficient alpha found within {max_doublings} doublings")
+    raise AlphaSearchError(f"no sufficient alpha found within {max_doublings} doublings", result)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +398,8 @@ class FeedbackConfig:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.trotter_slices < 1:
             raise ValueError(f"trotter_slices must be >= 1, got {self.trotter_slices}")
+        if self.abort_on_increase is not None and math.isnan(self.abort_on_increase):
+            raise ValueError("abort_on_increase must be a number or None, got nan")
 
 
 @dataclass

@@ -80,3 +80,12 @@ def dense_controller(state, h_ctrl, h0, shifts, gain: float) -> float:
         p = p + alpha * np.outer(ref, np.conj(ref))
     comm = dense_commutator_i(dense_sum(list(h_ctrl)), p)
     return float(-gain * np.vdot(state, comm @ state).real)
+
+
+def seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    """numpy's own keying of a (seed, split path) pair, the stream reference."""
+    return np.random.SeedSequence(seed, spawn_key=path)
+
+
+def philox_stream(seed: int, path) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, path)))

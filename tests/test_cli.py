@@ -356,6 +356,25 @@ def test_runtime_failure_flushes_partial_trace(tmp_path):
     assert summary["layers_completed"] == 1
 
 
+def test_failed_alpha_search_exits_with_a_summary(tmp_path, capsys):
+    """Starting on the ground state, no doubling lifts it: a typed failure, not a traceback."""
+    doc = bench_doc(initial_state="11", alpha={"strategy": "iterative"},
+                    feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 1})
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "alpha")]) == EXIT_RUNTIME
+    assert "no sufficient alpha found within 32 doublings" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "alpha_summary.json").read_text())
+    assert summary["error"] == "no sufficient alpha found within 32 doublings"
+    assert summary["layers_completed"] == 1
+    assert len(read_rows(tmp_path / "alpha_trace.csv")) == 2
+
+    doc["sweep"] = {"axis": "seed", "values": [0], "instances": 1}
+    cfg = write_doc(tmp_path, doc, name="sweep.json")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == EXIT_RUNTIME
+    row = dict(zip(*read_rows(tmp_path / "sw_sweep.csv")))
+    assert row["mean_fidelity"] == "nan"
+
+
 def test_spectrum_reproduces_low_lying_energies(tmp_path):
     out = str(tmp_path / "spec")
     code = main(

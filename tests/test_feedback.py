@@ -35,6 +35,7 @@ from feedbackq import (
     standard_controls,
     tune_time_step,
 )
+from feedbackq.feedback import AlphaSearchError
 
 from _oracles import dense_controller, random_state
 
@@ -294,11 +295,14 @@ def test_config_validation():
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, backend="tensor")
     with pytest.raises(ValueError):
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, trotter_slices=0)
+    with pytest.raises(ValueError):
+        FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, abort_on_increase=math.nan)
 
 
 def test_shift_and_operator_validation():
-    with pytest.raises(ValueError):
-        Shift(0.0, BENCH_REF[0][1], -2.5)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            Shift(alpha, BENCH_REF[0][1], -2.5)
     with pytest.raises(ValueError):
         ShiftedOperator(BENCH, [Shift(1.0, StateVector.plus(3), 0.0)])
     other = build_ising(IsingSpec(2, ((0.0, 0.1), (0.1, 0.0)), (1.0, 1.0)))
@@ -321,8 +325,11 @@ def test_alpha_iterative_doubles_until_accepted():
     assert seen == [0.5, 1.0, 2.0, 4.0]
     with pytest.raises(ValueError):
         alpha_iterative(fake_run, 0.0, lambda a: False)
-    with pytest.raises(RuntimeError):
+    seen.clear()
+    with pytest.raises(AlphaSearchError) as failed:
         alpha_iterative(fake_run, 1.0, lambda a: True, max_doublings=3)
+    assert isinstance(failed.value, FeedbackRunError)
+    assert failed.value.partial == seen[-1] == 8.0
 
 
 def test_deflation_climbs_the_benchmark_spectrum():

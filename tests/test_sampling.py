@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feedbackq import (
     EXACT,
@@ -14,7 +16,27 @@ from feedbackq import (
     sample_zero_fraction,
 )
 
-from _oracles import dense_string, random_state
+from _oracles import dense_string, philox_stream, random_state, seed_sequence
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+seeds = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+    st.integers(0, 2**64 - 1),
+    st.integers(2**128, 2**200),  # longer than the 128-bit pool: no zero padding
+)
+keys = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**40), -1),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(),
+    st.text(max_size=4),
+    st.tuples(st.integers(0, 9), st.text(max_size=2)),
+)
+paths = st.lists(keys, max_size=4)
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def _sv(amps):
@@ -49,6 +71,32 @@ def test_split_stream_draws_are_pinned():
         0.12314436471951551,
         0.17563748202327167,
     ]
+
+
+@PROPERTY
+@given(seed=seeds, first=paths, second=paths, shots=st.integers(1, 10**6),
+       p=probabilities, k=st.integers(1, 8))
+@example(seed=0, first=[], second=[], shots=1000, p=0.5, k=4)
+@example(seed=2**200 + 1, first=[], second=[], shots=1000, p=1.0, k=4)
+def test_streams_match_numpy_keying(seed, first, second, shots, p, k):
+    """Every draw equals the one from SeedSequence(seed, spawn_key=path).
+
+    The split chain covers both word rules: padding the seed before the
+    first key, and extending an already keyed budget.
+    """
+    parent = ShotBudget(shots, seed).split(*first)
+    child = parent.split(*second)
+    path = child.path
+    for budget in (child, ShotBudget(shots, seed, path)):
+        assert budget == child
+        assert np.array_equal(budget.rng().random(k), philox_stream(seed, path).random(k))
+        want = philox_stream(seed, path).binomial(shots, p)
+        assert budget.binomial(p) == want
+        parent.binomial(0.5)  # the shared generator is re-keyed, not continued
+        assert budget.binomial(p) == want
+    keys = first + second
+    assert np.array_equal(make_rng(seed, *keys).random(k), philox_stream(seed, path).random(k))
+    assert derive_seed(seed, *keys) == int(seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
 def test_exact_budget_split_is_the_budget_itself():
@@ -160,3 +208,8 @@ def test_budget_shots_validated():
         ShotBudget(0)
     with pytest.raises(ValueError):
         ShotBudget(-5)
+    for seed, path in ((-1, ()), (1.5, ()), ("7", ()), (0, (-3,)), (0, (2, 0.5)), (0, ("x",))):
+        with pytest.raises(ValueError):
+            ShotBudget(100, seed, path)
+        with pytest.raises(ValueError):
+            ShotBudget(None, seed, path)
