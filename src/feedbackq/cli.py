@@ -63,7 +63,15 @@ from .models import (
 )
 from .pauli import PauliSum, parse_sum
 from .sampling import ShotBudget, derive_seed
-from .states import StateVector, dense_eigh, dense_matrix, fidelity, reference_spectrum
+from .states import (
+    DEGENERACY_TOL,
+    DENSE_QUBIT_LIMIT,
+    StateVector,
+    dense_eigh,
+    dense_matrix,
+    fidelity,
+    reference_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -74,7 +82,6 @@ DEFAULT_DT_LADDER = (
     0.05, 0.04, 0.03, 0.025, 0.02, 0.015, 0.012, 0.01, 0.009, 0.008,
     0.007, 0.006, 0.005, 0.004, 0.003, 0.002, 0.0015, 0.001,
 )
-DEGENERACY_TOL = 1e-9
 ELEMENT_TOL = 1e-12
 
 
@@ -758,7 +765,7 @@ def _distinct_gaps(eigenvalues: np.ndarray) -> Tuple[bool, int]:
 def cmd_validate(args) -> int:
     doc = _load_json(Path(args.config))
     exp = Experiment(doc, Path(args.config).resolve().parent, args)
-    if exp.n > 12:
+    if exp.n > DENSE_QUBIT_LIMIT:
         raise ConfigError(f"validate needs a dense spectrum; {exp.n} qubits exceeds the limit")
 
     eigenvalues, vectors = dense_eigh(exp.h0)

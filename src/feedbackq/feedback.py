@@ -125,15 +125,23 @@ def alpha_iterative(
     `run(alpha)` executes the experiment; `converged_to_lower(result)`
     reports whether the final state's dominant fidelity (above 1/2) sits
     on an already-known eigenstate, which means alpha was too small.
-    Raises `AlphaSearchError` when no doubling is enough.
+    Raises `AlphaSearchError` when no doubling is enough, and as soon as
+    two runs in a row (alpha and 2*alpha) applied no control at all: each
+    control is linear in alpha, so such a run applies none at any alpha
+    and its final state never changes (a start on a known lower
+    eigenstate does this).
     """
     if alpha0 <= 0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     alpha = float(alpha0)
+    idle = False
     for _ in range(max_doublings + 1):
         result = run(alpha)
         if not converged_to_lower(result):
             return alpha
+        was_idle, idle = idle, isinstance(result, RunTrace) and not np.any(result.controls)
+        if was_idle and idle:
+            break
         alpha *= 2.0
     raise AlphaSearchError(f"no sufficient alpha found within {max_doublings} doublings", result)
 

@@ -14,6 +14,10 @@ The permutation and the phases are built once per string and kept as
 read-only kernel arrays: a gather index shared by every string with the
 same flip mask (int64, 8 bytes per amplitude) and an int8 sign vector
 (1 byte per amplitude).  `KERNEL_CACHE_BYTES` bounds what is kept.
+
+A whole sum compiles from the same arrays into one coefficient vector
+per flip mask (`_compile`).  `dense_matrix` and `diagonal_values` read
+it, and so does the matrix-free Lanczos route of `reference_spectrum`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,21 @@ NORM_TOL = 1e-9
 DENSE_QUBIT_LIMIT = 12
 DIAGONAL_QUBIT_LIMIT = 26
 KERNEL_CACHE_BYTES = 64 << 20
+DEGENERACY_TOL = 1e-9
+
+# Lanczos reference spectra: stop when every wanted Ritz residual is at
+# most _LANCZOS_TOL * one_norm(h) and refuse a returned pair whose true
+# residual exceeds _RESIDUAL_CHECK times that.  A count-bounded spectrum
+# takes Lanczos when 2**n >= max(_LANCZOS_MIN_DIM, _LANCZOS_LEVELS_PER_PAIR
+# * count), the measured crossover with dense_eigh (README "Reference
+# spectra").
+_LANCZOS_TOL = 1e-13
+_RESIDUAL_CHECK = 10.0
+_LANCZOS_MIN_DIM = 512
+_LANCZOS_LEVELS_PER_PAIR = 32
+_LANCZOS_CHECK_EVERY = 8
+_LANCZOS_MAX_STEPS = 1000
+_LANCZOS_SEED = 0x5EED
 
 
 @lru_cache(maxsize=None)
@@ -290,19 +309,47 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(inner(a, b)) ** 2
 
 
+def _is_real(h: PauliSum) -> bool:
+    """Real coefficients and an even number of Y letters in every string."""
+    return all(c.imag == 0 and _string_masks(ops)[2] % 2 == 0 for ops, c in h.items())
+
+
+def _compile(h: PauliSum, real: bool) -> Dict[int, np.ndarray]:
+    """The sum as one coefficient vector per X/Y flip mask.
+
+    (H psi)[i] = sum over masks m of coeffs[m][i] * psi[i ^ m]; mask 0 is
+    the diagonal.  Strings sharing a mask are added in the sum's
+    canonical order, so each entry is the same floating-point sum as the
+    matrix element it stands for.  `real` keeps only the real part of
+    each coefficient (float64); otherwise entries are complex128 and an
+    odd Y count contributes its factor 1j.
+    """
+    dim = 1 << h.n
+    coeffs: Dict[int, np.ndarray] = {}
+    for ops, coeff in h.items():
+        xmask, zmask, ny = _string_masks(ops)
+        if real:
+            coeff = coeff.real
+        elif ny % 2:
+            coeff = coeff * 1j
+        vals = coeffs.get(xmask)
+        if vals is None:
+            vals = coeffs[xmask] = np.zeros(dim, dtype=np.float64 if real else np.complex128)
+        if zmask:
+            vals += coeff * _signs(ops)
+        else:
+            vals += coeff
+    return coeffs
+
+
 def diagonal_values(h: PauliSum) -> np.ndarray:
     """Dense diagonal of a sum containing only I and Z letters."""
     if not h.is_diagonal:
         raise ValueError("diagonal_values requires an I/Z-only sum")
     if h.n > DIAGONAL_QUBIT_LIMIT:
         raise ValueError(f"diagonal path supports n <= {DIAGONAL_QUBIT_LIMIT}")
-    diag = np.zeros(1 << h.n, dtype=np.float64)
-    for ops, coeff in h.items():
-        if _string_masks(ops)[1]:
-            diag += coeff.real * _signs(ops)
-        else:
-            diag += coeff.real
-    return diag
+    diag = _compile(h, real=True).get(0)
+    return np.zeros(1 << h.n, dtype=np.float64) if diag is None else diag
 
 
 def dense_matrix(h: PauliSum) -> np.ndarray:
@@ -315,19 +362,10 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
         raise ValueError(f"dense path supports n <= {DENSE_QUBIT_LIMIT}")
     dim = 1 << h.n
     idx = _indices(h.n)
-    real = all(c.imag == 0 and _string_masks(ops)[2] % 2 == 0 for ops, c in h.items())
+    real = _is_real(h)
     mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-    for ops, coeff in h.items():
-        xmask, zmask, ny = _string_masks(ops)
-        if real:
-            coeff = coeff.real
-        elif ny % 2:
-            coeff = coeff * 1j
-        vals = np.full(dim, coeff, dtype=mat.dtype)
-        if zmask:
-            vals *= _signs(ops)
-        cols = _gather_index(h.n, xmask) if xmask else idx
-        mat[idx, cols] += vals
+    for xmask, vals in _compile(h, real).items():
+        mat[idx, _gather_index(h.n, xmask) if xmask else idx] += vals
     return mat
 
 
@@ -343,13 +381,121 @@ def dense_eigh(h: PauliSum) -> Tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(dense_matrix(h))
 
 
+def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: float):
+    """Lowest k Ritz pairs of one Lanczos run kept orthogonal to `locked`.
+
+    Full reorthogonalization: after the three-term recurrence, each new
+    vector loses its components along the locked rows and every earlier
+    basis vector.  Stops when every wanted pair's residual
+    |beta_m * s_mi| is at most `tol`, or when the Krylov space closes
+    (then fewer than k pairs may come back, none when `locked` already
+    spans the space).  Ritz pairs come back as rows.
+    """
+    dim = start.size
+    room = dim - len(locked)
+    # Rows [0, len(locked)) hold the locked vectors, the Krylov basis follows.
+    rows = np.empty((len(locked) + min(room, 256), dim), dtype=start.dtype)
+    rows[: len(locked)] = locked
+    first = len(locked)
+
+    def orthogonalize(w: np.ndarray, upto: int) -> None:
+        if upto:
+            q = rows[:upto]
+            w -= np.conj(q @ np.conj(w)) @ q
+
+    v = start
+    for _ in range(2):
+        orthogonalize(v, first)
+    norm = float(np.linalg.norm(v))
+    if not room or norm <= tol:
+        return np.empty(0), np.empty((0, dim), dtype=start.dtype)
+    v /= norm
+    alphas, betas = [], []
+    for m in range(1, min(room, _LANCZOS_MAX_STEPS) + 1):
+        if first + m > len(rows):
+            grown = np.empty((2 * len(rows) - first, dim), dtype=rows.dtype)
+            grown[: len(rows)] = rows
+            rows = grown
+        rows[first + m - 1] = v
+        w = apply(v)
+        alpha = float(np.vdot(v, w).real)
+        w -= alpha * v
+        if betas:
+            w -= betas[-1] * rows[first + m - 2]
+        orthogonalize(w, first + m)
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        closed = m == room or beta <= tol
+        if closed or m == _LANCZOS_MAX_STEPS or (m >= k and m % _LANCZOS_CHECK_EVERY == 0):
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, s = np.linalg.eigh(t)
+            if closed or np.all(beta * np.abs(s[-1, :k]) <= tol):
+                return theta[:k], s[:, :k].T @ rows[first : first + m]
+        betas.append(beta)
+        v = w / beta
+    raise np.linalg.LinAlgError(f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps")
+
+
+def _lanczos_lowest(h: PauliSum, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` eigenpairs of a hermitian sum without a dense matrix.
+
+    Runs Lanczos on the compiled sum, locks what it finds and restarts
+    from a fresh vector orthogonal to the locked pairs: one Krylov run
+    sees a single vector per eigenspace, so a restart finds the next copy
+    of a degenerate level.  Restarts continue until one finds nothing at
+    or below the last kept level + `DEGENERACY_TOL`, so that level is
+    separated from the next.  Starts are drawn from a fixed seed, so
+    repeated calls agree bit for bit.  Returns ascending eigenvalues and
+    eigenvectors as rows; every pair's true residual is checked.
+    """
+    real = _is_real(h)
+    dtype = np.float64 if real else np.complex128
+    compiled = _compile(h, real)
+    # One row per flip mask: out[i] = sum over rows of coeffs[r, i] * v[gathers[r, i]].
+    gathers = np.stack([_gather_index(h.n, xmask) for xmask in compiled])
+    coeffs = np.stack(list(compiled.values()))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return np.einsum("ri,ri->i", coeffs, v[gathers])
+
+    dim = 1 << h.n
+    tol = _LANCZOS_TOL * max(sum(abs(c) for _, c in h.items()), 1.0)
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    values = np.empty(0)
+    vectors = np.empty((0, dim), dtype=dtype)
+    while True:
+        start = rng.standard_normal(dim)
+        if not real:
+            start = start + 1j * rng.standard_normal(dim)
+        found_values, found = _krylov_lowest(apply, max(count - len(values), 1), vectors, start, tol)
+        if len(values) >= count:
+            keep = found_values <= values[count - 1] + DEGENERACY_TOL
+            found_values, found = found_values[keep], found[keep]
+        if not len(found_values):
+            break
+        values = np.concatenate([values, found_values])
+        vectors = np.concatenate([vectors, found])
+        order = np.argsort(values, kind="stable")
+        values, vectors = values[order], vectors[order]
+    values, vectors = values[:count], vectors[:count]
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    for value, vec in zip(values, vectors):
+        residual = float(np.linalg.norm(apply(vec) - value * vec))
+        if not residual <= _RESIDUAL_CHECK * tol:
+            raise np.linalg.LinAlgError(
+                f"Lanczos eigenpair at {value!r} has residual {residual:.3g}"
+            )
+    return values, vectors
+
+
 def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[float, StateVector]]:
     """Eigenpairs of a hermitian sum, ascending by eigenvalue.
 
     Diagonal sums (I/Z letters only) sort their dense diagonal and emit
     basis-state eigenvectors, which scales to n <= 26 when `count` bounds
-    how many pairs are materialized.  Anything else goes through
-    `dense_eigh` and is limited to n <= 12.
+    how many pairs are materialized.  Other sums take a matrix-free
+    Lanczos solve (no qubit limit) when 2**n >= max(512, 32 * count), and
+    `dense_eigh` (n <= 12) when `count` is None or below that crossover.
     """
     if not h.is_hermitian:
         raise ValueError("reference_spectrum requires a hermitian sum")
@@ -365,6 +511,9 @@ def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[floa
         if count is not None:
             order = order[:count]
         return [(float(diag[i]), StateVector.basis(h.n, int(i))) for i in order]
+    if count is not None and 1 << h.n >= max(_LANCZOS_MIN_DIM, _LANCZOS_LEVELS_PER_PAIR * count):
+        evals, rows = _lanczos_lowest(h, count)
+        return [(float(e), StateVector(row, copy=True)) for e, row in zip(evals, rows)]
     evals, evecs = dense_eigh(h)
     upto = len(evals) if count is None else min(count, len(evals))
     return [

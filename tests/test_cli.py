@@ -414,13 +414,14 @@ def test_validate_reports_assumptions(tmp_path, capsys):
     assert "assumption 1" in text and "violated" in text
 
 
-def test_validate_rejects_large_models(tmp_path):
+def test_validate_rejects_large_models(tmp_path, capsys):
     doc = {
         "model": {"family": "ising_random", "n": 13, "instance_seed": 0},
         "feedback": {"dt": 0.01, "gains": 1.0, "depth": 5},
     }
     cfg = write_doc(tmp_path, doc)
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert "validate needs a dense spectrum; 13 qubits exceeds the limit" in capsys.readouterr().err
 
 
 def test_sweep_r_axis_records_missing_rows_as_nan(tmp_path):
@@ -817,3 +818,59 @@ def test_sweep_point_propagates_untyped_errors(tmp_path, monkeypatch):
     with pytest.raises(KeyError):
         main(["sweep", "--config", cfg, "--out", str(tmp_path / "bug")])
     assert not (tmp_path / "bug_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("depth", [1, 40])
+def test_hopeless_alpha_search_stops_after_two_runs(tmp_path, monkeypatch, depth):
+    """From the ground state no control is ever applied, so no doubling can help."""
+    from feedbackq import cli
+
+    calls = []
+    original = cli.run_fqae
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].alphas)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_fqae", counting)
+    doc = bench_doc(initial_state="11", alpha={"strategy": "iterative"},
+                    feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": depth})
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "alpha")]) == EXIT_RUNTIME
+    summary = json.loads((tmp_path / "alpha_summary.json").read_text())
+    assert summary["error"] == "no sufficient alpha found within 32 doublings"
+    assert summary["layers_completed"] == depth
+    assert [tuple(a) for a in calls] == [(1.0,), (2.0,)]
+
+
+def test_fourteen_qubit_mfi_run_uses_a_matrix_free_spectrum(tmp_path, monkeypatch):
+    """Past the dense limit a count-bounded spectrum still resolves, to small residuals."""
+    from feedbackq import cli
+    from feedbackq.states import apply_pauli
+
+    seen = []
+    original = cli.reference_spectrum
+
+    def recording(h, count=None):
+        pairs = original(h, count=count)
+        seen.append((h, pairs))
+        return pairs
+
+    monkeypatch.setattr(cli, "reference_spectrum", recording)
+    doc = {
+        "model": {"family": "mfi_random", "n": 14, "instance_seed": 0},
+        "controls": "global_xyz",
+        "feedback": {"dt": 0.01, "gains": [1.0, 1.0, 1.0], "depth": 3, "backend": "exact"},
+        "alpha": {"strategy": "fixed", "values": [7.0]},
+        "target": 1,
+    }
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "mfi14")]) == EXIT_OK
+    summary = json.loads((tmp_path / "mfi14_summary.json").read_text())
+    assert summary["layers_completed"] == 3
+    (h, pairs), = seen
+    assert h.n == 14 and len(pairs) == 2 and pairs[0][0] < pairs[1][0]
+    for energy, vec in pairs:
+        hv = sum(coeff.real * apply_pauli(vec, ops) for ops, coeff in h.items())
+        assert np.linalg.norm(hv - energy * vec.amps) <= 1e-10
+

@@ -13,17 +13,20 @@ from hypothesis import strategies as st
 from feedbackq import (
     PauliSum,
     StateVector,
+    build_ising,
     build_mfi,
     dense_matrix,
     diagonal_values,
     expectation,
     pauli_matrix_element,
+    random_ising,
     random_mfi,
+    reference_spectrum,
 )
 from feedbackq import states
 from feedbackq.states import apply_pauli, dense_eigh
 
-from _oracles import dense_string, dense_sum, random_state
+from _oracles import dense_string, dense_sum, random_pauli_terms, random_state
 
 ATOL = 1e-12
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -148,6 +151,68 @@ def test_dense_eigh_degenerate_eigenspace_matches_complex_route():
         return vecs[:, 2:4] @ vecs[:, 2:4].conj().T
 
     np.testing.assert_allclose(projector(evecs), projector(want_vecs), rtol=0, atol=1e-10)
+
+
+def _per_string_matrix(h):
+    """Dense matrix scattered one string at a time, in the sum's canonical order."""
+    dim = 1 << h.n
+    real = all(c.imag == 0 and ops.count("Y") % 2 == 0 for ops, c in h.items())
+    mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    rows = np.arange(dim)
+    for ops, coeff in h.items():
+        xmask, zmask, ny = states._string_masks(ops)
+        coeff = coeff.real if real else coeff * 1j if ny % 2 else coeff
+        vals = np.full(dim, coeff, dtype=mat.dtype)
+        if zmask:
+            vals *= states._signs(ops)
+        mat[rows, rows ^ xmask] += vals
+    return mat
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_compiled_sum_adds_terms_in_string_order(n):
+    """One scatter per flip mask gives bit for bit the per-string matrix and diagonal."""
+    rng = np.random.default_rng(n)
+    sums = [
+        build_mfi(random_mfi(n, 1)),
+        PauliSum(random_pauli_terms(rng, n, 4 * n)),
+        PauliSum([(_even_y(ops), c) for ops, c in random_pauli_terms(rng, n, 4 * n)]),
+    ]
+    for h in sums:
+        assert np.array_equal(dense_matrix(h), _per_string_matrix(h))
+    diagonal = build_ising(random_ising(n, 2))
+    want = np.diag(_per_string_matrix(diagonal))
+    assert np.array_equal(diagonal_values(diagonal), want)
+    assert np.array_equal(np.diag(dense_matrix(diagonal)), want)
+
+
+LANCZOS_PROPERTY = settings(max_examples=6, deadline=None, database=None)
+
+
+@LANCZOS_PROPERTY
+@given(n=st.integers(9, 10), terms=st.integers(10, 30), count=st.integers(1, 4),
+       real=st.booleans(), seed=seeds)
+def test_lanczos_spectrum_matches_dense(n, terms, count, real, seed):
+    """Random Pauli sums on the matrix-free route: levels, residuals, eigenspaces."""
+    pairs = random_pauli_terms(np.random.default_rng(seed), n, terms)
+    if real:
+        pairs = [(_even_y(ops), c) for ops, c in pairs]
+    h = PauliSum(pairs)
+    oracle = dense_sum(pairs)
+    want_vals, want_vecs = np.linalg.eigh(oracle)
+    got = reference_spectrum(h, count=count)
+    vals = np.array([e for e, _ in got])
+    vecs = np.column_stack([v.amps for _, v in got])
+    np.testing.assert_allclose(vals, want_vals[:count], rtol=0, atol=1e-10)
+    residual = np.linalg.norm(oracle @ vecs - vecs * vals, axis=0)
+    assert residual.max() <= 1e-10
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(count), rtol=0, atol=1e-10)
+    for i in range(count):
+        gap = min(want_vals[i] - want_vals[i - 1] if i else np.inf, want_vals[i + 1] - want_vals[i])
+        if gap > 0.1:
+            got_proj = np.outer(vecs[:, i], vecs[:, i].conj())
+            want_proj = np.outer(want_vecs[:, i], want_vecs[:, i].conj())
+            np.testing.assert_allclose(got_proj, want_proj, rtol=0, atol=1e-10)
 
 
 def test_cached_kernels_are_read_only():

@@ -9,6 +9,7 @@ from feedbackq import (
     TrotterPlan,
     apply_pauli_exp,
     apply_sum_trotter,
+    build_mfi,
     dense_matrix,
     diagonal_values,
     expectation,
@@ -16,8 +17,10 @@ from feedbackq import (
     inner,
     pauli_expectation,
     pauli_matrix_element,
+    random_mfi,
     reference_spectrum,
 )
+from feedbackq import states
 from feedbackq.states import apply_pauli
 
 from _oracles import (
@@ -201,3 +204,61 @@ def test_reference_spectrum_diagonal_fast_path():
     pairs = reference_spectrum(h)
     assert [round(e, 10) for e, _ in pairs] == [-2.5, -1.5, 0.5, 3.5]
     assert np.allclose(pairs[0][1].amps, StateVector.basis(2, "11").amps)
+
+
+MFI9 = build_mfi(random_mfi(9, 0))
+
+
+@pytest.fixture(scope="module")
+def mfi9_dense():
+    return np.linalg.eigh(dense_sum(list(MFI9.items())))
+
+
+def _projector(vecs):
+    return vecs @ vecs.conj().T
+
+
+def test_lanczos_returns_every_copy_of_a_degenerate_level(mfi9_dense):
+    """E2 = E3 on the nine-qubit ring: count=4 holds both copies, count=3 one of them."""
+    want_vals, want_vecs = mfi9_dense
+    assert want_vals[3] - want_vals[2] <= 1e-10 < want_vals[4] - want_vals[3]
+    pairs = reference_spectrum(MFI9, count=4)
+    vals = np.array([e for e, _ in pairs])
+    vecs = np.column_stack([v.amps for _, v in pairs])
+    np.testing.assert_allclose(vals, want_vals[:4], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        _projector(vecs[:, 2:4]), _projector(want_vecs[:, 2:4]), rtol=0, atol=1e-10
+    )
+    np.testing.assert_allclose(
+        _projector(vecs[:, :2]), _projector(want_vecs[:, :2]), rtol=0, atol=1e-10
+    )
+
+    third = reference_spectrum(MFI9, count=3)[2][1].amps
+    level = want_vecs[:, 2:4]
+    assert np.linalg.norm(third - level @ (level.conj().T @ third)) <= 1e-10
+
+
+def test_lanczos_spectrum_repeats_bit_for_bit():
+    first = reference_spectrum(MFI9, count=2)
+    again = reference_spectrum(MFI9, count=2)
+    assert [e for e, _ in first] == [e for e, _ in again]
+    for (_, a), (_, b) in zip(first, again):
+        assert np.array_equal(a.amps, b.amps)
+
+
+def test_spectrum_route_follows_the_size_rule(monkeypatch):
+    """Below the crossover (and for count=None) the dense route runs; above it, Lanczos."""
+    dense_calls = []
+    original = states.dense_eigh
+
+    def counting(h):
+        dense_calls.append(h.n)
+        return original(h)
+
+    monkeypatch.setattr(states, "dense_eigh", counting)
+    reference_spectrum(build_mfi(random_mfi(8, 0)), count=2)
+    reference_spectrum(build_mfi(random_mfi(6, 0)))
+    reference_spectrum(MFI9, count=17)
+    assert dense_calls == [8, 6, 9]
+    reference_spectrum(MFI9, count=16)
+    assert dense_calls == [8, 6, 9]
