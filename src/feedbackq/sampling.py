@@ -69,6 +69,20 @@ def _path_words(path) -> Tuple[int, ...]:
     return tuple(word for key in path for word in _int_words(key))
 
 
+def _key_words(key) -> Tuple[int, Tuple[int, ...]]:
+    """A split key's path entry and its entropy words."""
+    value = _normalize_key(key)
+    return value, _int_words(value)
+
+
+# Strings and integers map to the same entry whenever they are equal and
+# of the same type; `typed` keeps True, 1 and np.int64(1) apart, since a
+# bool is hashed through its repr.  Other keys (floats, where 0.0 == -0.0
+# have different reprs, or unhashable ones) are normalized on every split.
+_cached_key_words = lru_cache(maxsize=4096, typed=True)(_key_words)
+_CACHED_KEYS = (str, int, np.integer)
+
+
 def _philox_key(pool: np.ndarray) -> List[int]:
     """The key `Philox(seq)` takes: `seq.generate_state(2, np.uint64)` from seq's pool."""
     h = _INIT_B
@@ -121,15 +135,14 @@ class ShotBudget:
     def split(self, *key) -> "ShotBudget":
         if self.shots is None:
             return self
-        extra = tuple(_normalize_key(k) for k in key)
+        path, words = self.path, self._words
+        for k in key:
+            value, more = (_cached_key_words if isinstance(k, _CACHED_KEYS) else _key_words)(k)
+            path += (value,)
+            words += more
         # Skip __init__: the parent's words are already checked and assembled.
         child = object.__new__(ShotBudget)
-        child.__dict__.update(
-            shots=self.shots,
-            seed=self.seed,
-            path=self.path + extra,
-            _words=self._words + _path_words(extra),
-        )
+        child.__dict__.update(shots=self.shots, seed=self.seed, path=path, _words=words)
         return child
 
     def _seed_sequence(self) -> np.random.SeedSequence:
@@ -182,7 +195,7 @@ def _sample_pm1(exact_value: float, budget: ShotBudget) -> float:
 
 def sample_pauli_expectation(state: StateVector, ops: str, budget: ShotBudget) -> float:
     """Finite-shot estimate of <psi|O|psi> for a non-identity string O."""
-    if set(ops) == {"I"}:
+    if ops and ops.count("I") == len(ops):
         raise ValueError("identity strings are not measured; fold them in classically")
     value = pauli_expectation(state, ops)
     if budget.exact:

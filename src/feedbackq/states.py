@@ -11,9 +11,12 @@ the closed form exp(-i*t*O) = cos(t)*1 - i*sin(t)*O, valid because every
 Pauli string squares to the identity.
 
 The permutation and the phases are built once per string and kept as
-read-only kernel arrays: a gather index shared by every string with the
-same flip mask (int64, 8 bytes per amplitude) and an int8 sign vector
-(1 byte per amplitude).  `KERNEL_CACHE_BYTES` bounds what is kept.
+one read-only kernel: a gather index shared by every string with the
+same flip mask (int64, 8 bytes per amplitude) and a phase vector, int8
+signs (1 byte per amplitude) or, for an odd number of Y letters, the
+signs times 1j as complex128 (16 bytes per amplitude).  Applying a
+string is one lookup, one gather and one multiply.  `KERNEL_CACHE_BYTES`
+bounds what is kept.
 
 A whole sum compiles from the same arrays into one coefficient vector
 per flip mask (`_compile`).  `dense_matrix` and `diagonal_values` read
@@ -25,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,34 +87,50 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+class _Kernel(NamedTuple):
+    """One string's action: out[i] = amps[gather[i]] * phase[i], either part optional."""
+
+    gather: Optional[np.ndarray]
+    phase: Optional[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        # A gather shared with other kernels counts once per holder, so the
+        # cache's byte total bounds everything it keeps alive.
+        return sum(arr.nbytes for arr in self if arr is not None)
+
+
 class _KernelCache:
     """Read-only kernel arrays under a byte budget, oldest evicted first.
 
-    Lookups take no lock; inserting takes one, so concurrent callers keep
-    the byte count exact.  An array larger than the whole budget is built
-    on every request and never kept.
+    An entry is one array or one `_Kernel`.  Lookups take no lock;
+    inserting takes one, so concurrent callers keep the byte count exact.
+    An entry larger than the whole budget is built on every request and
+    never kept.
     """
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
-        self._arrays: Dict[Hashable, np.ndarray] = {}
+        self._arrays: Dict[Hashable, np.ndarray | _Kernel] = {}
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def get(self, key: Hashable, build: Callable[..., np.ndarray], *args) -> np.ndarray:
-        arr = self._arrays.get(key)
-        if arr is not None:
-            return arr
-        arr = build(*args)
-        arr.flags.writeable = False
-        if arr.nbytes <= self.max_bytes:
+    def get(self, key: Hashable, build: Callable[..., np.ndarray | _Kernel], *args):
+        entry = self._arrays.get(key)
+        if entry is not None:
+            return entry
+        entry = build(*args)
+        for arr in entry if isinstance(entry, _Kernel) else (entry,):
+            if arr is not None:
+                arr.flags.writeable = False
+        if entry.nbytes <= self.max_bytes:
             with self._lock:
                 if key not in self._arrays:
-                    self._arrays[key] = arr
-                    self._bytes += arr.nbytes
+                    self._arrays[key] = entry
+                    self._bytes += entry.nbytes
                 while self._bytes > self.max_bytes:
                     self._bytes -= self._arrays.pop(next(iter(self._arrays))).nbytes
-        return arr
+        return entry
 
 
 _KERNELS = _KernelCache(KERNEL_CACHE_BYTES)
@@ -139,24 +158,42 @@ def _signs(ops: str) -> np.ndarray:
     """Real part of the string's phase per output amplitude, as int8 +/-1.
 
     The phase of output i is i**n_Y * (-1)**popcount((i ^ xmask) & zmask);
-    an odd Y count leaves a factor 1j that callers apply separately.
+    an odd Y count leaves a factor 1j, which `_kernel` folds in.
     """
-    return _KERNELS.get(ops, _build_signs, ops)
+    return _KERNELS.get(("signs", ops), _build_signs, ops)
 
 
-def _pauli_action(amps: np.ndarray, ops: str, n: int) -> np.ndarray:
-    """Return O|psi> as a fresh amplitude array."""
+def _build_kernel(ops: str) -> _Kernel:
+    _check_ops(ops)
     xmask, zmask, ny = _string_masks(ops)
-    if xmask:
-        out = amps[_gather_index(n, xmask)]
-        if zmask:
-            out *= _signs(ops)
-    elif zmask:
-        out = amps * _signs(ops)
-    else:
-        out = amps.copy()
+    gather = _gather_index(len(ops), xmask) if xmask else None
     if ny % 2:
-        out *= 1j
+        phase = np.zeros(1 << len(ops), dtype=np.complex128)
+        phase.imag = _build_signs(ops)
+    else:
+        phase = _signs(ops) if zmask else None
+    return _Kernel(gather, phase)
+
+
+def _kernel(ops: str) -> _Kernel:
+    """The string's gather index (None without X/Y) and phase (None for X-only).
+
+    The phase is the int8 signs, or complex128 signs times 1j for an odd Y
+    count.  Only a valid string gets a kernel, so a kept one marks `ops`
+    as checked.
+    """
+    return _KERNELS.get(ops, _build_kernel, ops)
+
+
+def _pauli_action(amps: np.ndarray, ops: str) -> np.ndarray:
+    """Return O|psi> as a fresh amplitude array."""
+    # A hit is one dict read; `_kernel` builds and keeps on a miss.
+    gather, phase = _KERNELS._arrays.get(ops) or _kernel(ops)
+    if gather is None:
+        return amps.copy() if phase is None else amps * phase
+    out = amps[gather]
+    if phase is not None:
+        out *= phase
     return out
 
 
@@ -219,14 +256,21 @@ def _check_same_n(a_n: int, b_n: int) -> None:
 
 def apply_pauli(state: StateVector, ops: str) -> np.ndarray:
     """O|psi> as a raw amplitude array (not unit norm in general contexts)."""
-    _check_ops(ops)
+    if not isinstance(ops, str) or ops not in _KERNELS._arrays:
+        _check_ops(ops)
     _check_same_n(len(ops), state.n)
-    return _pauli_action(state.amps, ops, state.n)
+    return _pauli_action(state.amps, ops)
 
 
-def _exp_amps(amps: np.ndarray, ops: str, angle: float, n: int) -> np.ndarray:
+def _exp_amps(amps: np.ndarray, ops: str, angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
-    return c * amps - 1j * s * _pauli_action(amps, ops, n)
+    # Bit for bit c*amps - 1j*s*(O psi): each component of -1j*s*(O psi)
+    # pairs one real product with an exact zero.  Only an exactly zero part
+    # of amps may come back as a zero of the other sign.
+    out = _pauli_action(amps, ops)
+    out *= -1j * s
+    out += c * amps
+    return out
 
 
 def apply_pauli_exp(state: StateVector, ops: str, angle: float) -> StateVector:
@@ -235,7 +279,7 @@ def apply_pauli_exp(state: StateVector, ops: str, angle: float) -> StateVector:
     _check_same_n(len(ops), state.n)
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    return StateVector(_exp_amps(state.amps, ops, float(angle), state.n), copy=False)
+    return StateVector(_exp_amps(state.amps, ops, float(angle)), copy=False)
 
 
 @dataclass(frozen=True)
@@ -262,7 +306,7 @@ class TrotterPlan:
         step = self.dt * scale / slices
         for _ in range(slices):
             for ops, coeff in self.factors:
-                amps = _exp_amps(amps, ops, coeff * step, state.n)
+                amps = _exp_amps(amps, ops, coeff * step)
         return StateVector(amps, copy=False)
 
 
@@ -292,7 +336,7 @@ def expectation(state: StateVector, h: PauliSum) -> float:
     _check_same_n(h.n, state.n)
     total = 0j
     for ops, coeff in h.items():
-        total += coeff * np.vdot(state.amps, _pauli_action(state.amps, ops, state.n))
+        total += coeff * np.vdot(state.amps, _pauli_action(state.amps, ops))
     if abs(total.imag) > 1e-10:
         raise ValueError(f"imaginary residue {total.imag} in expectation of a hermitian sum")
     return float(total.real)
@@ -321,24 +365,21 @@ def _compile(h: PauliSum, real: bool) -> Dict[int, np.ndarray]:
     the diagonal.  Strings sharing a mask are added in the sum's
     canonical order, so each entry is the same floating-point sum as the
     matrix element it stands for.  `real` keeps only the real part of
-    each coefficient (float64); otherwise entries are complex128 and an
-    odd Y count contributes its factor 1j.
+    each coefficient (float64) and needs an even Y count in every string;
+    otherwise entries are complex128 and an odd Y count contributes the
+    factor 1j folded into the string's phase.
     """
     dim = 1 << h.n
     coeffs: Dict[int, np.ndarray] = {}
     for ops, coeff in h.items():
-        xmask, zmask, ny = _string_masks(ops)
+        xmask = _string_masks(ops)[0]
+        phase = _kernel(ops).phase
         if real:
             coeff = coeff.real
-        elif ny % 2:
-            coeff = coeff * 1j
         vals = coeffs.get(xmask)
         if vals is None:
             vals = coeffs[xmask] = np.zeros(dim, dtype=np.float64 if real else np.complex128)
-        if zmask:
-            vals += coeff * _signs(ops)
-        else:
-            vals += coeff
+        vals += coeff if phase is None else coeff * phase
     return coeffs
 
 

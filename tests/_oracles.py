@@ -4,6 +4,8 @@ Everything here is deliberately independent of the package internals:
 operators are assembled letter by letter with ``np.kron`` and evolved
 through eigendecompositions, so any agreement with the fast masked
 kernels is a genuine cross-check rather than a shared-code tautology.
+The one masked kernel here, `reference_pauli_action`, pins the package
+kernel's floating-point bits, not its algebra.
 """
 
 from __future__ import annotations
@@ -89,3 +91,36 @@ def seed_sequence(seed: int, path) -> np.random.SeedSequence:
 
 def philox_stream(seed: int, path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_sequence(seed, path)))
+
+
+def reference_pauli_action(amps: np.ndarray, ops: str) -> np.ndarray:
+    """O|psi> in the arithmetic of the earlier two-pass kernel.
+
+    Gather the flipped amplitudes, multiply by the int8 +/-1 signs, then
+    multiply by 1j for an odd Y count.  A faster kernel must reproduce
+    these bits exactly, not only to rounding.
+    """
+    n = len(ops)
+    idx = np.arange(1 << n)
+    xmask = sum(1 << (n - 1 - q) for q, letter in enumerate(ops) if letter in "XY")
+    zmask = sum(1 << (n - 1 - q) for q, letter in enumerate(ops) if letter in "ZY")
+    ny = ops.count("Y")
+    parity = np.array([bin(v).count("1") & 1 for v in ((idx ^ xmask) & zmask).tolist()])
+    sign = ((1 - 2 * parity) * (-1 if ny % 4 >= 2 else 1)).astype(np.int8)
+    if xmask:
+        out = amps[idx ^ xmask]
+        if zmask:
+            out *= sign
+    elif zmask:
+        out = amps * sign
+    else:
+        out = amps.copy()
+    if ny % 2:
+        out *= 1j
+    return out
+
+
+def reference_pauli_exp(amps: np.ndarray, ops: str, angle: float) -> np.ndarray:
+    """exp(-i*angle*O)|psi> as c*psi - 1j*s*(O psi), on the reference action."""
+    c, s = np.cos(angle), np.sin(angle)
+    return c * amps - 1j * s * reference_pauli_action(amps, ops)

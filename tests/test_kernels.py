@@ -24,9 +24,16 @@ from feedbackq import (
     reference_spectrum,
 )
 from feedbackq import states
-from feedbackq.states import apply_pauli, dense_eigh
+from feedbackq.states import TrotterPlan, apply_pauli, apply_pauli_exp, dense_eigh
 
-from _oracles import dense_string, dense_sum, random_pauli_terms, random_state
+from _oracles import (
+    dense_string,
+    dense_sum,
+    random_pauli_terms,
+    random_state,
+    reference_pauli_action,
+    reference_pauli_exp,
+)
 
 ATOL = 1e-12
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -215,8 +222,87 @@ def test_lanczos_spectrum_matches_dense(n, terms, count, real, seed):
             np.testing.assert_allclose(got_proj, want_proj, rtol=0, atol=1e-10)
 
 
+def _odd_y(ops):
+    """The string with one letter changed when its Y count is even."""
+    if ops.count("Y") % 2:
+        return ops
+    i = next((i for i, letter in enumerate(ops) if letter != "Y"), 0)
+    return ops[:i] + ("X" if ops[i] == "Y" else "Y") + ops[i + 1 :]
+
+
+def kernel_strings(n):
+    """All I, all X, I/Z only, an even or an odd Y count."""
+    return st.one_of(
+        st.just("I" * n),
+        st.just("X" * n),
+        strings(n, "IZ"),
+        strings(n).map(_even_y),
+        strings(n).map(_odd_y),
+    )
+
+
+def _kernel_state(rng, n, kind):
+    """A complex state, or one with exactly zero parts: real amplitudes or a basis state."""
+    if kind == "complex":
+        return _state(rng, n)
+    if kind == "real":
+        return StateVector.from_amplitudes(rng.normal(size=1 << n))
+    return StateVector.basis(n, int(rng.integers(1 << n)))
+
+
+def _assert_reference_bits(got, want, amps):
+    """Equal values, and equal bits unless the input has an exactly zero part.
+
+    From a zero part, the one-pass kernel may return a zero of the other
+    sign than the two-pass reference.
+    """
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if np.all(amps.view(np.float64)):
+        assert got.tobytes() == want.tobytes()
+
+
+state_kinds = st.sampled_from(["complex", "real", "basis"])
+
+
+@PROPERTY
+@given(ops=qubits.flatmap(kernel_strings), angle=st.floats(-7.0, 7.0), kind=state_kinds,
+       seed=seeds)
+def test_kernels_match_reference_bits(ops, angle, kind, seed):
+    """The one-pass kernels give the bits of gather, sign multiply, then 1j."""
+    state = _kernel_state(np.random.default_rng(seed), len(ops), kind)
+    for _ in range(2):
+        want = reference_pauli_action(state.amps, ops)
+        _assert_reference_bits(apply_pauli(state, ops), want, state.amps)
+        want = reference_pauli_exp(state.amps, ops, angle)
+        _assert_reference_bits(apply_pauli_exp(state, ops, angle).amps, want, state.amps)
+
+
+@PROPERTY
+@given(
+    ops_list=qubits.flatmap(lambda n: st.lists(kernel_strings(n), min_size=1, max_size=6)),
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    dt=st.floats(0.001, 0.5),
+    scale=st.floats(-3.0, 3.0),
+    slices=st.integers(1, 3),
+    kind=state_kinds,
+    seed=seeds,
+)
+def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices, kind, seed):
+    state = _kernel_state(np.random.default_rng(seed), len(ops_list[0]), kind)
+    plan = TrotterPlan(tuple(zip(ops_list, coeffs)), dt)
+    want = state.amps
+    step = dt * scale / slices
+    for _ in range(slices):
+        for ops, coeff in plan.factors:
+            want = reference_pauli_exp(want, ops, coeff * step)
+    got = plan.apply(state, scale=scale, slices=slices).amps
+    _assert_reference_bits(got, want, state.amps)
+
+
 def test_cached_kernels_are_read_only():
-    for arr in (states._signs("XYZ"), states._gather_index(3, 0b110)):
+    folded = states._kernel("XYZ").phase
+    assert folded.dtype == np.complex128
+    for arr in (states._signs("XYZ"), states._gather_index(3, 0b110), folded):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0

@@ -107,6 +107,23 @@ def test_exact_budget_split_is_the_budget_itself():
     assert sampled.split("comm", 4).path != sampled.path
 
 
+def test_split_keys_keep_their_own_entries():
+    """Equal keys of another type or repr stay apart when splits are memoized.
+
+    True is hashed through its repr, while 1 and np.int64(1) are the
+    integer 1; 0.0 and -0.0 differ in repr, and a list is unhashable.
+    """
+    from feedbackq.sampling import _normalize_key
+
+    budget = ShotBudget(10, seed=3)
+    keys = (1, True, np.int64(1), 0.0, -0.0, [1])
+    for _ in range(2):  # the second round reads the memo
+        paths = [budget.split(k).path for k in keys]
+        assert paths == [(_normalize_key(k),) for k in keys]
+        assert paths[0] == paths[2] == (1,)
+        assert len({paths[0], paths[1], paths[3], paths[4], paths[5]}) == 5
+
+
 def test_string_keys_hash_stably():
     s1 = derive_seed(7, "ctrl", 0)
     s2 = derive_seed(7, "ctrl", 0)
