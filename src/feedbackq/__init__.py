@@ -49,10 +49,8 @@ from .models import (
     standard_controls,
 )
 from .feedback import (
-    DeflationStage,
     FeedbackConfig,
     FeedbackRunError,
-    RunTrace,
     Shift,
     ShiftedOperator,
     UnsupportedGeneratorError,

@@ -699,6 +699,8 @@ SWEEP_COLUMNS = ["axis", "value", "instances", "dt", "mean_fidelity", "fidelity_
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     path = Path(args.config)
     doc = _load_json(path)
     payloads = _sweep_payloads(doc, args, path.resolve().parent)
@@ -715,8 +717,10 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out if args.out is not None else _field(doc, "output", "", str, DEFAULT_OUTPUT))
     started = time.perf_counter()
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts every worker at once, so it never gets more than points.
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]

@@ -35,7 +35,6 @@ _MULT_B = 0x58F38DED
 _MASK32 = 0xFFFFFFFF
 
 
-@lru_cache(maxsize=1024)
 def _hash_key(text: str) -> int:
     digest = hashlib.blake2s(text.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")

@@ -562,6 +562,51 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (tmp_path / "ser_sweep.csv").read_bytes() == (tmp_path / "par_sweep.csv").read_bytes()
 
 
+def test_sweep_jobs_never_exceed_points(tmp_path, monkeypatch):
+    """A pool gets at most one worker per point, and --jobs below 1 is a config error."""
+    from feedbackq import cli
+
+    pools = []
+
+    class Recorder:
+        """Stands in for the process pool: records its size and maps in process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    doc = {
+        "seed": 3,
+        "model": {"family": "ising_random", "n": 3, "instance_seed": 0},
+        "controls": "x_mixer",
+        "target": 1,
+        "alpha": {"strategy": "fixed", "values": [4.0]},
+        "feedback": {"dt": 0.05, "gains": [1.0], "depth": 5},
+        "sweep": {"axis": "seed", "values": [0, 1]},
+    }
+    cfg = write_doc(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "ser")]) == EXIT_OK
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "par"), "--jobs", "10000"])
+    assert code == EXIT_OK and pools == [2]
+    assert (tmp_path / "ser_sweep.csv").read_bytes() == (tmp_path / "par_sweep.csv").read_bytes()
+    one = write_doc(tmp_path, dict(doc, sweep={"axis": "seed", "values": [0]}), "one.json")
+    assert main(["sweep", "--config", one, "--out", str(tmp_path / "one"), "--jobs", "10000"]) == EXIT_OK
+    assert pools == [2]
+    for jobs in ("0", "-3"):
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "bad"), "--jobs", jobs])
+        assert code == EXIT_CONFIG
+    assert pools == [2] and not list(tmp_path.glob("bad*"))
+
+
 def test_sweep_without_sweep_block_is_rejected(tmp_path):
     cfg = write_doc(tmp_path, bench_doc())
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG

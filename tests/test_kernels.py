@@ -5,6 +5,8 @@ from the kernel cache, and scribbles over the first result in between:
 a returned array must never alias the input state or a cached buffer.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,7 +173,8 @@ def _per_string_matrix(h):
         coeff = coeff.real if real else coeff * 1j if ny % 2 else coeff
         vals = np.full(dim, coeff, dtype=mat.dtype)
         if zmask:
-            vals *= states._signs(ops)
+            phase = states._kernel(ops).phase
+            vals *= phase.imag if ny % 2 else phase
         mat[rows, rows ^ xmask] += vals
     return mat
 
@@ -301,11 +304,50 @@ def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices
 
 def test_cached_kernels_are_read_only():
     folded = states._kernel("XYZ").phase
-    assert folded.dtype == np.complex128
-    for arr in (states._signs("XYZ"), states._gather_index(3, 0b110), folded):
+    assert folded.dtype == states._kernel("ZYZ").phase.dtype == np.complex128
+    assert states._kernel("ZYY").phase.dtype == np.int8
+    for arr in (states._kernel("ZYY").phase, states._kernel("ZYZ").phase,
+                states._kernel("XYZ").gather, folded):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_one_kernel_record_per_string(monkeypatch):
+    """The cache keeps only per-string records; one flip mask, one gather array."""
+    cache = states._KernelCache(states.KERNEL_CACHE_BYTES)
+    monkeypatch.setattr(states, "_KERNELS", cache)
+    xyz = states._kernel("XYZ")
+    assert xyz.gather is states._kernel("XXI").gather
+    assert states._kernel("YZY").gather is states._kernel("XIX").gather
+    assert np.array_equal(xyz.gather, np.arange(8) ^ 0b110)
+    state = _state(np.random.default_rng(9), 9)
+    h = build_mfi(random_mfi(9, 0))
+    apply_pauli(state, "XYZIZYXIZ")
+    dense_matrix(h)
+    reference_spectrum(h, count=2)
+    assert 1 << h.n >= states._LANCZOS_MIN_DIM  # the matrix-free route ran
+    assert cache._arrays
+    for ops, kernel in cache._arrays.items():
+        assert isinstance(ops, str) and isinstance(kernel, states._Kernel)
+        if states._string_masks(ops)[0]:
+            assert kernel.gather is cache._arrays[ops.replace("Y", "X").replace("Z", "I")].gather
+    assert cache._bytes == sum(kernel.nbytes for kernel in cache._arrays.values())
+
+
+def test_zero_budget_keeps_no_array(monkeypatch):
+    """With no byte budget, the diagonal of a sum leaves nothing allocated behind."""
+    monkeypatch.setattr(states, "_KERNELS", states._KernelCache(max_bytes=0))
+    h = PauliSum([("Z" * 16, 1.0), ("ZI" * 8, 0.5), ("IZ" * 8, -0.25)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diag = diagonal_values(h)
+        kept = tracemalloc.get_traced_memory()[0] - before - diag.nbytes
+    finally:
+        tracemalloc.stop()
+    # The smallest array the diagonal needs is one int8 sign per amplitude.
+    assert kept < 1 << 16
 
 
 def test_budget_smaller_than_a_kernel_still_computes(monkeypatch):
@@ -323,12 +365,15 @@ def test_budget_smaller_than_a_kernel_still_computes(monkeypatch):
 def test_kernel_cache_evicts_oldest_first():
     cache = states._KernelCache(max_bytes=24)
 
-    def build(v):
-        return np.full(8, v, dtype=np.int8)
+    def build(key):
+        return states._Kernel(None, np.full(8, ord(key), dtype=np.int8))
+
+    def never(key):
+        raise AssertionError(f"{key!r} rebuilt")
 
     for key in ("a", "b", "c"):
-        cache.get(key, build, ord(key))
-    assert cache.get("a", build, 0)[0] == ord("a")  # a hit, never rebuilt
-    cache.get("d", build, ord("d"))
+        cache.get(key, build)
+    assert cache.get("a", never).phase[0] == ord("a")  # a hit, never rebuilt
+    cache.get("d", build)
     assert list(cache._arrays) == ["b", "c", "d"]
     assert cache._bytes == 24
