@@ -174,13 +174,18 @@ def _controller_from_pieces(
 ) -> float:
     """Shared evaluation path for the exact and overlap/Hadamard backends.
 
-    Every scalar flows through the sampling layer, whose exact sentinel
-    returns the underlying value untouched, so an exact budget makes
-    this function bit-identical to exact linear algebra.
+    At an exact budget the commutator value is one `expectation` call;
+    a sampled budget estimates it term by term, each term on its own
+    stream.  The overlaps always flow through the sampling layer, whose
+    exact sentinel returns the underlying value untouched, so an exact
+    budget makes this function exact linear algebra.
     """
-    comm_value = 0.0
-    for k, (ops, coeff) in enumerate(comm.items()):
-        comm_value += coeff.real * sample_pauli_expectation(state, ops, budget.split("comm", k))
+    if budget.exact:
+        comm_value = expectation(state, comm)
+    else:
+        comm_value = 0.0
+        for k, (ops, coeff) in enumerate(comm.items()):
+            comm_value += coeff.real * sample_pauli_expectation(state, ops, budget.split("comm", k))
     pieces = []
     for j, shift in enumerate(p_op.shifts):
         w = 0j

@@ -146,7 +146,9 @@ def commutator_i(a: PauliSum, b: PauliSum) -> PauliSum:
 
     Pairs of commuting strings cancel exactly and are skipped; for an
     anticommuting pair i(ab - ba) = 2i*ab, so each surviving pair
-    contributes a single product term.  The result is hermitian.
+    contributes a single product term.  The result is hermitian: each
+    term keeps the real part of 2i*ab, dropping the imaginary parts up to
+    `HERMITIAN_TOL` of the inputs' coefficients would carry into it.
     """
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
@@ -157,7 +159,7 @@ def commutator_i(a: PauliSum, b: PauliSum) -> PauliSum:
         for b_ops, cb in b.items():
             phase, ops = _multiply(a_ops, b_ops)
             if phase.imag:
-                out.append((ops, 2j * (ca * cb * phase)))
+                out.append((ops, (2j * (ca * cb * phase)).real))
     return PauliSum(out, n=a.n)
 
 

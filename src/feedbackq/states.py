@@ -12,14 +12,13 @@ Pauli string squares to the identity.
 
 The permutation and the phases are built once per string and kept as
 one read-only `_Kernel` record, the only kind of entry in `_KERNELS`: a
-gather index (int64, 8 bytes per amplitude) and a phase vector, int8
-signs (1 byte per amplitude) or, for an odd number of Y letters, the
-signs times 1j as complex128 (16 bytes per amplitude).  Strings with
-the same flip mask share one gather array, built by their X-only string
-(Y -> X, Z -> I).  Applying a string is one lookup, one gather and one
-multiply.  `KERNEL_CACHE_BYTES` bounds what is kept: a 10-qubit Ising
-run with the sum-X mixer keeps 166 records, counted as 2535 KiB for
-1735 KiB of distinct arrays.
+gather index (int64, 8 bytes per amplitude) and a complex128 phase
+vector (16 bytes per amplitude), the signs times 1j for an odd number
+of Y letters.  Strings with the same flip mask share one gather array,
+built by their X-only string (Y -> X, Z -> I).  Applying a string is
+one lookup, one gather and one multiply.  `KERNEL_CACHE_BYTES` bounds
+what is kept: a 10-qubit Ising run with the sum-X mixer keeps 166
+records, counted as 3360 KiB for 2560 KiB of distinct arrays.
 
 A whole sum compiles from the phases into one coefficient vector per
 flip mask (`_compile`).  `dense_matrix` and `diagonal_values` read it,
@@ -28,6 +27,7 @@ and so does the matrix-free Lanczos route of `reference_spectrum`.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import PauliSum, _check_ops
+from .pauli import HERMITIAN_TOL, PauliSum, _check_ops
 
 NORM_TOL = 1e-9
 DENSE_QUBIT_LIMIT = 12
@@ -135,12 +135,18 @@ def _build_kernel(ops: str) -> _Kernel:
     idx &= zmask
     for shift in (32, 16, 8, 4, 2, 1):
         idx ^= idx >> shift
-    phase = (1 - 2 * (idx & 1)).astype(np.int8)
+    idx &= 1
+    idx *= -2
+    idx += 1  # the +/-1 sign, computed in place without temporaries
     if ny % 4 >= 2:
-        np.negative(phase, out=phase)
+        np.negative(idx, out=idx)
+    # complex128 even for real signs: numpy has no complex x int8 multiply,
+    # so an int8 phase would be cast to these same values on every use.
+    phase = np.zeros(1 << len(ops), dtype=np.complex128)
     if ny % 2:
-        signs, phase = phase, np.zeros(1 << len(ops), dtype=np.complex128)
-        phase.imag = signs
+        phase.imag = idx
+    else:
+        phase.real = idx
     # Every string with this flip mask shares the gather of its X-only
     # string (Y -> X, Z -> I).
     gather = _kernel(ops.replace("Y", "X").replace("Z", "I")).gather if xmask else None
@@ -150,9 +156,9 @@ def _build_kernel(ops: str) -> _Kernel:
 def _kernel(ops: str) -> _Kernel:
     """The string's gather index (None without X/Y) and phase (None for X-only).
 
-    The phase is int8 signs, or complex128 signs times 1j for an odd Y
-    count.  Only a valid string gets a kernel, so a kept one marks `ops`
-    as checked.
+    The phase is complex128: the +/-1 signs, times 1j for an odd Y count.
+    Only a valid string gets a kernel, so a kept one marks `ops` as
+    checked.
     """
     return _KERNELS.get(ops, _build_kernel)
 
@@ -235,7 +241,8 @@ def apply_pauli(state: StateVector, ops: str) -> np.ndarray:
 
 
 def _exp_amps(amps: np.ndarray, ops: str, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
+    # math's trig on a Python float gives np.cos/np.sin's bits at a third of the cost.
+    c, s = math.cos(angle), math.sin(angle)
     # Bit for bit c*amps - 1j*s*(O psi): each component of -1j*s*(O psi)
     # pairs one real product with an exact zero.  Only an exactly zero part
     # of amps may come back as a zero of the other sign.
@@ -304,12 +311,16 @@ def pauli_matrix_element(a: StateVector, ops: str, b: StateVector) -> complex:
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:
-    """<psi|H|psi> for a hermitian sum; the imaginary residue must vanish."""
+    """<psi|H|psi> for a hermitian sum; the imaginary residue must vanish.
+
+    The residue may reach 1e-10 of rounding plus `HERMITIAN_TOL` per term,
+    the imaginary part `PauliSum.is_hermitian` allows each coefficient.
+    """
     _check_same_n(h.n, state.n)
     total = 0j
     for ops, coeff in h.items():
         total += coeff * np.vdot(state.amps, _pauli_action(state.amps, ops))
-    if abs(total.imag) > 1e-10:
+    if abs(total.imag) > 1e-10 + HERMITIAN_TOL * len(h):
         raise ValueError(f"imaginary residue {total.imag} in expectation of a hermitian sum")
     return float(total.real)
 
@@ -337,9 +348,10 @@ def _compile(h: PauliSum, real: bool) -> Dict[int, np.ndarray]:
     the diagonal.  Strings sharing a mask are added in the sum's
     canonical order, so each entry is the same floating-point sum as the
     matrix element it stands for.  `real` keeps only the real part of
-    each coefficient (float64) and needs an even Y count in every string;
-    otherwise entries are complex128 and an odd Y count contributes the
-    factor 1j folded into the string's phase.
+    each coefficient (float64) and needs an even Y count in every string,
+    whose phase then has a zero imaginary part; otherwise entries are
+    complex128 and an odd Y count contributes the factor 1j folded into
+    the string's phase.
     """
     dim = 1 << h.n
     coeffs: Dict[int, np.ndarray] = {}
@@ -348,6 +360,7 @@ def _compile(h: PauliSum, real: bool) -> Dict[int, np.ndarray]:
         phase = _kernel(ops).phase
         if real:
             coeff = coeff.real
+            phase = None if phase is None else phase.real
         vals = coeffs.get(xmask)
         if vals is None:
             vals = coeffs[xmask] = np.zeros(dim, dtype=np.float64 if real else np.complex128)

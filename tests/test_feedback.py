@@ -1,9 +1,12 @@
 """Feedback loop: descent, fixed points, backends, deflation, tuning."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedbackq import (
     EXACT,
@@ -35,9 +38,11 @@ from feedbackq import (
     standard_controls,
     tune_time_step,
 )
-from feedbackq.feedback import AlphaSearchError
+from feedbackq.feedback import AlphaSearchError, _assemble, _controller_from_pieces
+from feedbackq.pauli import HERMITIAN_TOL, commutator_i
+from feedbackq.sampling import sample_hadamard_test, sample_pauli_expectation
 
-from _oracles import dense_controller, random_state
+from _oracles import dense_controller, random_pauli_terms, random_state
 
 
 BENCH = build_ising(IsingSpec(2, ((0.0, 0.5), (0.5, 0.0)), (1.0, 2.0)))
@@ -133,6 +138,105 @@ def test_controller_routes_agree():
             assert u_psr == pytest.approx(u_exact, rel=1e-9, abs=1e-10)
             u_fd = controller_grad_fd(state, h_ctrl, p_op, gain=1.5, dt=0.05)
             assert u_fd == pytest.approx(u_exact, rel=1e-6, abs=1e-7)
+
+
+def _per_term_controller(state, comm, h_ctrl, p_op, gain):
+    """The exact law with one Pauli expectation per commutator term."""
+    comm_value = 0.0
+    for ops, coeff in comm.items():
+        comm_value += coeff.real * sample_pauli_expectation(state, ops, EXACT)
+    pieces = []
+    ident = "I" * state.n
+    for shift in p_op.shifts:
+        w = 0j
+        for ops, coeff in h_ctrl.items():
+            re = sample_hadamard_test(state, ops, shift.state, "real", EXACT)
+            im = sample_hadamard_test(state, ops, shift.state, "imag", EXACT)
+            w += coeff.real * complex(re, im)
+        o_re = sample_hadamard_test(shift.state, ident, state, "real", EXACT)
+        o_im = sample_hadamard_test(shift.state, ident, state, "imag", EXACT)
+        pieces.append((shift.alpha, w, complex(o_re, o_im)))
+    return _assemble(comm_value, pieces, gain)
+
+
+def _route_state(rng, n, kind):
+    """A random state, or |+>^n or a basis state, where string expectations reach +/-1."""
+    if kind == "random":
+        return StateVector.from_amplitudes(random_state(rng, n))
+    if kind == "plus":
+        return StateVector.plus(n)
+    return StateVector.basis(n, int(rng.integers(1 << n)))
+
+
+def _tilted(terms, rng, tilt):
+    """The terms with imaginary parts up to HERMITIAN_TOL: none, all +TOL, or random."""
+    if tilt == "none":
+        return PauliSum(terms)
+    imag = [HERMITIAN_TOL if tilt == "max" else rng.uniform(-1, 1) * HERMITIAN_TOL for _ in terms]
+    return PauliSum([(ops, complex(c.real, t)) for (ops, c), t in zip(terms, imag)])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    n=st.integers(1, 7),
+    drift_terms=st.integers(1, 12),
+    ctrl_terms=st.integers(1, 4),
+    shifts=st.integers(0, 2),
+    kind=st.sampled_from(["random", "plus", "basis"]),
+    tilt=st.sampled_from(["none", "max", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_commutator_route(n, drift_terms, ctrl_terms, shifts, kind, tilt, seed):
+    """One `expectation` per commutator equals the per-term loop and the dense law.
+
+    Real coefficients give the same bits.  Imaginary parts up to
+    HERMITIAN_TOL on the drift, the control and the commutator itself are
+    accepted and move the value by at most 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    drift = random_pauli_terms(rng, n, drift_terms)
+    ctrl = random_pauli_terms(rng, n, ctrl_terms)
+    h0, h_ctrl = _tilted(drift, rng, tilt), _tilted(ctrl, rng, tilt)
+    refs = [StateVector.from_amplitudes(random_state(rng, n)) for _ in range(shifts)]
+    p_op = ShiftedOperator(h0, [Shift(float(rng.uniform(0.5, 5.0)), ref, 0.0) for ref in refs])
+    state = _route_state(rng, n, kind)
+    gain = float(rng.uniform(0.1, 3.0))
+    comm = commutator_i(h_ctrl, h0)
+    if tilt != "none" and len(comm):
+        comm = _tilted(list(comm.items()), rng, tilt)
+    assert comm.is_hermitian
+    got = _controller_from_pieces(state, comm, h_ctrl, p_op, gain, EXACT)
+    loop = _per_term_controller(state, comm, h_ctrl, p_op, gain)
+    if tilt == "none":
+        assert np.float64(got).tobytes() == np.float64(loop).tobytes()
+    else:
+        assert got == pytest.approx(loop, rel=0, abs=1e-12)
+    shift_amps = [(s.alpha, s.state.amps) for s in p_op.shifts]
+    want = dense_controller(state.amps, ctrl, drift, shift_amps, gain)
+    assert got == pytest.approx(want, rel=0, abs=1e-10)
+
+
+def test_exact_controller_takes_sums_at_the_hermitian_tolerance():
+    """Imaginary parts that `is_hermitian` accepts never reach the commutator.
+
+    Each of the 128 terms Z0 P of the drift (P over I/Z) meets the control
+    X0 once, giving Y0 P.  With 2 + HERMITIAN_TOL*1j on both sides, an
+    unreduced product would carry 8e-12j per term, and on |+i>|0...0>,
+    where every <Y0 P> is 1, a residue of 1e-9.
+    """
+    n = 8
+    tilt = complex(2.0, HERMITIAN_TOL)
+    drift = [("Z" + "".join(p), tilt) for p in itertools.product("IZ", repeat=n - 1)]
+    h0, h_ctrl = PauliSum(drift), PauliSum([("X" + "I" * (n - 1), tilt)])
+    comm = commutator_i(h_ctrl, h0)
+    assert len(comm) == 128 and all(c.imag == 0 for _, c in comm.items())
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0], amps[1 << (n - 1)] = 1.0, 1.0j  # (|0> + i|1>) on qubit 0
+    state = StateVector.from_amplitudes(amps)
+    got = controller_overlap_sampled(state, h_ctrl, ShiftedOperator(h0, ()), gain=1.0)
+    real = [(ops, c.real) for ops, c in drift]
+    want = dense_controller(state.amps, [(ops, c.real) for ops, c in h_ctrl.items()], real, [], 1.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-10)
 
 
 def test_fastpath_matches_generic_controller():

@@ -174,7 +174,7 @@ def _per_string_matrix(h):
         vals = np.full(dim, coeff, dtype=mat.dtype)
         if zmask:
             phase = states._kernel(ops).phase
-            vals *= phase.imag if ny % 2 else phase
+            vals *= phase.imag if ny % 2 else phase.real
         mat[rows, rows ^ xmask] += vals
     return mat
 
@@ -304,8 +304,11 @@ def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices
 
 def test_cached_kernels_are_read_only():
     folded = states._kernel("XYZ").phase
-    assert folded.dtype == states._kernel("ZYZ").phase.dtype == np.complex128
-    assert states._kernel("ZYY").phase.dtype == np.int8
+    for ops in ("ZYY", "ZYZ", "XYZ"):
+        assert states._kernel(ops).phase.dtype == np.complex128
+    # Real signs for an even Y count, imaginary ones for an odd count.
+    assert not np.any(states._kernel("ZYY").phase.imag)
+    assert not np.any(folded.real) and not np.any(states._kernel("ZYZ").phase.real)
     for arr in (states._kernel("ZYY").phase, states._kernel("ZYZ").phase,
                 states._kernel("XYZ").gather, folded):
         assert not arr.flags.writeable
@@ -346,7 +349,8 @@ def test_zero_budget_keeps_no_array(monkeypatch):
         kept = tracemalloc.get_traced_memory()[0] - before - diag.nbytes
     finally:
         tracemalloc.stop()
-    # The smallest array the diagonal needs is one int8 sign per amplitude.
+    # Every array the diagonal builds (the int64 index, the complex128 phases)
+    # holds 8 or more bytes per amplitude, so none of them is left behind.
     assert kept < 1 << 16
 
 

@@ -1,5 +1,7 @@
 """Statevector kernels against dense evolution oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from feedbackq import (
     reference_spectrum,
 )
 from feedbackq import states
+from feedbackq.pauli import HERMITIAN_TOL
 from feedbackq.states import apply_pauli
 
 from _oracles import (
@@ -125,6 +128,20 @@ def test_expectation_rejects_nonhermitian_residue():
     state = _sv(random_state(np.random.default_rng(0), 2))
     with pytest.raises(ValueError):
         expectation(state, PauliSum([("XY", 1.0j)]))
+    with pytest.raises(ValueError):
+        expectation(StateVector.plus(1), PauliSum([("X", 1.0j)]))
+
+
+def test_expectation_accepts_every_hermitian_sum():
+    """Imaginary parts up to HERMITIAN_TOL per coefficient never trip the residue bound.
+
+    On |+>^8 every I/X string has expectation 1, so 200 such terms at
+    1 + HERMITIAN_TOL*1j leave a residue of 2e-10 with no rounding in it.
+    """
+    strings = ["".join(bits) for bits in itertools.product("IX", repeat=8)][:200]
+    h = PauliSum([(ops, complex(1.0, HERMITIAN_TOL)) for ops in strings])
+    assert h.is_hermitian
+    assert expectation(StateVector.plus(8), h) == pytest.approx(200.0, rel=1e-12)
 
 
 def test_matrix_element_matches_dense():
