@@ -15,8 +15,8 @@ Four subcommands cover the experiment shapes the library supports:
 ``validate``
     Informational checks of the convergence assumptions for a config.
 
-Configs are single JSON documents; ``--shots``, ``--exact``, ``--seed``
-and ``--out`` override the corresponding fields from the command line.
+Configs are single JSON documents; each flag but ``--jobs`` sets one of
+their fields as the document is read (`_load_config`).
 Exit codes: 0 success, 1 runtime failure (partial trace flushed),
 2 config rejection.
 """
@@ -104,6 +104,24 @@ def _load_json(path: Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"top-level JSON value in {path} must be an object")
     return doc
+
+
+def _load_config(args) -> Tuple[dict, Path]:
+    """The config document with each flag written into its field, and its directory.
+
+    A flag edits a block only when that block is an object, so a
+    malformed block fails as it would without the flag.
+    """
+    path = Path(args.config)
+    doc = _load_json(path)
+    edits = {"seed": args.seed, "output": args.out, "count": getattr(args, "count", None)}
+    doc.update((key, value) for key, value in edits.items() if value is not None)
+    sweep, feedback = doc.get("sweep"), doc.get("feedback")
+    if getattr(args, "axis", None) is not None and isinstance(sweep, dict):
+        sweep["axis"] = args.axis
+    if (args.exact or args.shots is not None) and isinstance(feedback, dict):
+        feedback["shots"] = None if args.exact else args.shots
+    return doc, path.resolve().parent
 
 
 # Keys a block may no longer set, with the reason a config error gives.
@@ -242,18 +260,8 @@ def parse_initial_state(spec: str, n: int) -> StateVector:
     raise ConfigError(f"initial state '{spec}' is neither 'plus' nor an {n}-bit string")
 
 
-def parse_feedback(
-    spec: dict,
-    channels: int,
-    seed: int,
-    shots_override: Optional[int],
-    exact_override: bool,
-) -> FeedbackConfig:
+def parse_feedback(spec: dict, channels: int, seed: int) -> FeedbackConfig:
     shots = _field(spec, "shots", "feedback", int, None)
-    if exact_override:
-        shots = None
-    elif shots_override is not None:
-        shots = shots_override
     try:
         budget = ShotBudget(shots, seed=derive_seed(seed, "shots"))
         return FeedbackConfig(
@@ -374,27 +382,20 @@ def _write_json(path: Path, payload: dict) -> None:
 class Experiment:
     """Everything a subcommand needs, resolved from one config document."""
 
-    def __init__(self, doc: dict, base_dir: Path, args) -> None:
+    def __init__(self, doc: dict, base_dir: Path) -> None:
         self.doc = doc
-        self.seed = args.seed if args.seed is not None else _field(doc, "seed", "", int, 0)
+        self.seed = _field(doc, "seed", "", int, 0)
         self.h0, self.model_meta = parse_model(_field(doc, "model", "", dict), base_dir)
         self.n = self.h0.n
         self.controls, self.control_kind = parse_controls(doc, self.n)
-        self.config = parse_feedback(
-            _field(doc, "feedback", "", dict),
-            len(self.controls),
-            self.seed,
-            args.shots,
-            args.exact,
-        )
+        self.config = parse_feedback(_field(doc, "feedback", "", dict), len(self.controls), self.seed)
         self.target = _field(doc, "target", "", int, 0)
         if self.target < 0:
             raise ConfigError("'target' must be a non-negative eigenstate index")
         if self.target >= 2 ** self.n:
             raise ConfigError(f"'target' must be below 2**n = {2 ** self.n}, got {self.target}")
         self.psi0 = parse_initial_state(_field(doc, "initial_state", "", str, "plus"), self.n)
-        out = args.out if args.out is not None else _field(doc, "output", "", str, DEFAULT_OUTPUT)
-        self.output = Path(out)
+        self.output = Path(_field(doc, "output", "", str, DEFAULT_OUTPUT))
 
     def reference(self, count: int) -> List[Tuple[float, StateVector]]:
         try:
@@ -438,8 +439,7 @@ def _run_target(
 
 
 def cmd_run(args) -> int:
-    doc = _load_json(Path(args.config))
-    exp = Experiment(doc, Path(args.config).resolve().parent, args)
+    exp = Experiment(*_load_config(args))
     reference = exp.reference(exp.target + 1)
     tracked = len(reference)
     trace_path = exp.output.parent / (exp.output.name + "_trace.csv")
@@ -485,11 +485,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _stage_overrides(
-    doc: dict, exp: Experiment, count: int
-) -> List[Tuple[StateVector, FeedbackConfig]]:
-    """One (initial state, feedback config) pair per deflation stage."""
-    stages = _field(doc, "stages", "", [dict], None)
+def _stage_overrides(exp: Experiment, count: int) -> List[Tuple[StateVector, FeedbackConfig]]:
+    """One (initial state, feedback config) pair per deflation stage.
+
+    A field a stage leaves out keeps its top-level value.
+    """
+    stages = _field(exp.doc, "stages", "", [dict], None)
     if stages is None:
         return [(exp.psi0, exp.config)] * count
     if len(stages) != count:
@@ -499,7 +500,8 @@ def _stage_overrides(
     pairs = []
     for s, entry in enumerate(stages):
         where = f"stages[{s}]"
-        psi0 = parse_initial_state(_field(entry, "initial_state", where, str, "plus"), exp.n)
+        spec = _field(entry, "initial_state", where, str, None)
+        psi0 = exp.psi0 if spec is None else parse_initial_state(spec, exp.n)
         changes = {
             "dt": _field(entry, "dt", where, float, cfg.dt),
             "depth": _field(entry, "depth", where, int, cfg.depth),
@@ -514,17 +516,16 @@ def _stage_overrides(
 
 
 def cmd_spectrum(args) -> int:
-    doc = _load_json(Path(args.config))
-    exp = Experiment(doc, Path(args.config).resolve().parent, args)
-    count = args.count if args.count is not None else _field(doc, "count", "", int, 1)
+    exp = Experiment(*_load_config(args))
+    count = _field(exp.doc, "count", "", int, 1)
     if count < 1:
         raise ConfigError("'count' must be at least 1")
     if count > 2 ** exp.n:
         raise ConfigError(f"'count' must be at most 2**n = {2 ** exp.n}, got {count}")
 
-    alphas = resolve_alphas(doc, exp.h0, count - 1)
+    alphas = resolve_alphas(exp.doc, exp.h0, count - 1)
     reference = exp.reference(count)
-    stage_settings = _stage_overrides(doc, exp, count)
+    stage_settings = _stage_overrides(exp, count)
     track = [pair[1] for pair in reference]
 
     started = time.perf_counter()
@@ -595,12 +596,12 @@ def _check_retired_keys(doc: dict, sweep: dict) -> None:
             )
 
 
-def _sweep_payloads(doc: dict, args, base_dir: Path) -> List[dict]:
+def _sweep_payloads(doc: dict, base_dir: Path) -> List[dict]:
     """Validate the sweep block; one worker payload per point."""
     sweep = _field(doc, "sweep", "", dict, None)
     if sweep is None:
         raise ConfigError("sweep configs need a 'sweep' object")
-    axis = args.axis if args.axis is not None else _field(sweep, "axis", "sweep", str)
+    axis = _field(sweep, "axis", "sweep", str)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}' (choose from R, n, seed)")
     values = _field(sweep, "values", "sweep", [SWEEP_AXES[axis][1]])
@@ -612,11 +613,8 @@ def _sweep_payloads(doc: dict, args, base_dir: Path) -> List[dict]:
     if instances < 1 or not candidates:
         raise ConfigError("'sweep.instances' and 'sweep.dt_candidates' must not be empty")
     _check_retired_keys(doc, sweep)
-    if args.seed is not None:
-        doc["seed"] = args.seed
     return [
-        {"doc": doc, "axis": axis, "value": v, "base_dir": str(base_dir),
-         "shots": args.shots, "exact": args.exact, "instances": instances,
+        {"doc": doc, "axis": axis, "value": v, "base_dir": str(base_dir), "instances": instances,
          "dt_candidates": candidates, "tolerance": tolerance}
         for v in values
     ]
@@ -637,8 +635,7 @@ def _point_experiments(payload: dict) -> List[Experiment]:
             dict(model, instance_seed=derive_seed(seed, "sweep", value, i))
             for i in range(payload["instances"])
         ]
-    args = argparse.Namespace(seed=None, shots=payload["shots"], exact=payload["exact"], out=None)
-    return [Experiment(dict(doc, model=m), Path(payload["base_dir"]), args) for m in models]
+    return [Experiment(dict(doc, model=m), Path(payload["base_dir"])) for m in models]
 
 
 def _sweep_point(payload: dict) -> dict:
@@ -701,9 +698,8 @@ SWEEP_COLUMNS = ["axis", "value", "instances", "dt", "mean_fidelity", "fidelity_
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    path = Path(args.config)
-    doc = _load_json(path)
-    payloads = _sweep_payloads(doc, args, path.resolve().parent)
+    doc, base_dir = _load_config(args)
+    payloads = _sweep_payloads(doc, base_dir)
     axis = payloads[0]["axis"]
     # Build the first point up front so a broken config exits 2 instead
     # of producing a CSV of NaN rows.
@@ -715,7 +711,7 @@ def cmd_sweep(args) -> int:
         if axis != "R" or not isinstance(exc.__cause__, RowNotTabulatedError):
             raise
 
-    out = Path(args.out if args.out is not None else _field(doc, "output", "", str, DEFAULT_OUTPUT))
+    out = Path(_field(doc, "output", "", str, DEFAULT_OUTPUT))
     started = time.perf_counter()
     # The pool starts every worker at once, so it never gets more than points.
     workers = min(args.jobs, len(payloads))
@@ -767,8 +763,7 @@ def _distinct_gaps(eigenvalues: np.ndarray) -> Tuple[bool, int]:
 
 
 def cmd_validate(args) -> int:
-    doc = _load_json(Path(args.config))
-    exp = Experiment(doc, Path(args.config).resolve().parent, args)
+    exp = Experiment(*_load_config(args))
     if exp.n > DENSE_QUBIT_LIMIT:
         raise ConfigError(f"validate needs a dense spectrum; {exp.n} qubits exceeds the limit")
 
@@ -791,7 +786,7 @@ def cmd_validate(args) -> int:
     assumption2 = all(c["fully_connected"] for c in channel_reports)
 
     target = exp.target
-    alphas = resolve_alphas(doc, exp.h0, target) if target else []
+    alphas = resolve_alphas(exp.doc, exp.h0, target) if target else []
     # Each shifted state is a drift eigenvector, so P is diagonal in the
     # drift eigenbasis: its spectrum is the drift's with alpha_k added to E_k.
     p_eigenvalues = eigenvalues.copy()
@@ -859,12 +854,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", help="output path prefix (overrides config)")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
+        p.add_argument("--out", help="output path prefix (sets 'output')")
+        p.add_argument("--seed", type=int, help="master seed (sets 'seed')")
         shots = p.add_mutually_exclusive_group()
-        shots.add_argument("--shots", type=int, help="per-estimate shot count")
+        shots.add_argument("--shots", type=int, help="per-estimate shot count (sets 'feedback.shots')")
         shots.add_argument(
-            "--exact", action="store_true", help="force exact expectation values"
+            "--exact", action="store_true", help="exact expectation values (clears 'feedback.shots')"
         )
 
     p_run = sub.add_parser("run", help="single feedback run")
@@ -873,12 +868,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="deflation through the lowest eigenstates")
     common(p_spec)
-    p_spec.add_argument("--count", type=int, help="number of eigenstates (overrides config)")
+    p_spec.add_argument("--count", type=int, help="number of eigenstates (sets 'count')")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="axis sweep with per-point aggregates")
     common(p_sweep)
-    p_sweep.add_argument("--axis", choices=tuple(SWEEP_AXES), help="sweep axis")
+    p_sweep.add_argument("--axis", choices=tuple(SWEEP_AXES), help="sweep axis (sets 'sweep.axis')")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     p_sweep.set_defaults(func=cmd_sweep)
 

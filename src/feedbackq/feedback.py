@@ -245,7 +245,6 @@ def controller_grad_fd(
     p_op: ShiftedOperator,
     gain: float,
     dt: float,
-    epsilon: float | None = None,
     budget: ShotBudget = EXACT,
     slices: int = 1,
 ) -> float:
@@ -253,14 +252,12 @@ def controller_grad_fd(
 
     The probe appends exp(-i*delta*dt*H_q) to the current state for
     delta = +/-epsilon, which realizes V(u_k +/- epsilon) relative to the
-    just-applied layer.  Default epsilon is 1e-5 exact and 1e-3 sampled.
+    just-applied layer.  epsilon is 1e-5 at an exact budget and 1e-3
+    at a sampled one, where shot noise swamps a smaller difference.
     """
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
-    if epsilon is None:
-        epsilon = 1e-5 if budget.exact else 1e-3
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon = 1e-5 if budget.exact else 1e-3
     plan = TrotterPlan.from_sum(h_ctrl, dt)
     plus = plan.apply(state, scale=epsilon, slices=slices)
     minus = plan.apply(state, scale=-epsilon, slices=slices)
@@ -384,10 +381,9 @@ class FeedbackConfig:
     estimator; budget parameterizes it, and `exact` is the overlap
     route at the exact budget.  Every run starts from zero controls.
     The remaining fields are diagnostics: trotter_slices subdivides each
-    first-order step (default one slice per layer), record_states keeps
-    per-layer statevectors, and abort_on_increase cuts a run short the
-    moment the Lyapunov value rises by more than the given amount (used
-    by the time-step search).
+    first-order step (default one slice per layer), and abort_on_increase
+    cuts a run short the moment the Lyapunov value rises by more than the
+    given amount (used by the time-step search).
     """
 
     dt: float
@@ -396,7 +392,6 @@ class FeedbackConfig:
     backend: str = "exact"
     budget: ShotBudget = EXACT
     trotter_slices: int = 1
-    record_states: bool = False
     abort_on_increase: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -435,7 +430,6 @@ class RunTrace:
     final_controls: Tuple[float, ...]
     initial_lyapunov: float
     initial_energy: float
-    states: Optional[List[StateVector]] = None
     aborted_layer: Optional[int] = None
 
     @property
@@ -521,7 +515,6 @@ def run_fqae(
     v_rows: List[float] = []
     e_rows: List[float] = []
     f_rows: List[List[float]] = []
-    kept_states: Optional[List[StateVector]] = [] if config.record_states else None
     aborted_layer: Optional[int] = None
 
     def _trace(final_controls: Tuple[float, ...]) -> RunTrace:
@@ -536,7 +529,6 @@ def run_fqae(
             final_controls=final_controls,
             initial_lyapunov=initial_v,
             initial_energy=initial_e,
-            states=kept_states,
             aborted_layer=aborted_layer,
         )
 
@@ -552,8 +544,6 @@ def run_fqae(
         v_rows.append(v_k)
         e_rows.append(expectation(state, h0))
         f_rows.append([fidelity(ref, state) for ref in track_states])
-        if kept_states is not None:
-            kept_states.append(state)
 
         if config.abort_on_increase is not None and v_k - prev_v > config.abort_on_increase:
             aborted_layer = k
@@ -596,10 +586,9 @@ def run_falqon(
 
 @dataclass
 class DeflationStage:
-    """One converged state of the upward sweep, with its run trace."""
+    """One stage of the upward sweep; its converged state is `trace.final_state`."""
 
     energy: float
-    state: StateVector
     trace: RunTrace
     warning: Optional[str] = None
 
@@ -641,7 +630,7 @@ def deflate_spectrum(
                     f"stage {s} max reference fidelity {best:.3f} "
                     f"below threshold {DEFLATION_WARN_FIDELITY}"
                 )
-        results.append(DeflationStage(energy, trace.final_state, trace, warning))
+        results.append(DeflationStage(energy, trace, warning))
         if s < len(alphas):
             found.append(Shift(alphas[s], trace.final_state, energy))
     return sorted(results, key=lambda st: st.energy)

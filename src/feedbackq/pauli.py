@@ -123,7 +123,8 @@ class PauliSum:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"PauliSum({format_sum(self)!r})"
+        # The constructor call, so any sum has one (format_sum takes only real ones).
+        return f"PauliSum({list(self.items())!r}, n={self._n})"
 
     def __str__(self) -> str:
         return format_sum(self)

@@ -133,20 +133,15 @@ def _build_kernel(ops: str) -> _Kernel:
         return _Kernel(idx if xmask else None, None)
     # The phase of output i is i**n_Y * (-1)**popcount((i ^ xmask) & zmask).
     idx &= zmask
-    for shift in (32, 16, 8, 4, 2, 1):
-        idx ^= idx >> shift
-    idx &= 1
-    idx *= -2
-    idx += 1  # the +/-1 sign, computed in place without temporaries
-    if ny % 4 >= 2:
-        np.negative(idx, out=idx)
+    odd = np.bitwise_count(idx)
+    odd &= 1
+    sign = -1.0 if ny % 4 >= 2 else 1.0
     # complex128 even for real signs: numpy has no complex x int8 multiply,
     # so an int8 phase would be cast to these same values on every use.
     phase = np.zeros(1 << len(ops), dtype=np.complex128)
-    if ny % 2:
-        phase.imag = idx
-    else:
-        phase.real = idx
+    part = phase.imag if ny % 2 else phase.real
+    np.multiply(odd, -2.0 * sign, out=part)  # sign * (1 - 2 * odd), in place
+    part += sign
     # Every string with this flip mask shares the gather of its X-only
     # string (Y -> X, Z -> I).
     gather = _kernel(ops.replace("Y", "X").replace("Z", "I")).gather if xmask else None

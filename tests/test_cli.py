@@ -1,6 +1,6 @@
 """Command line entry points: exit codes, file outputs, determinism."""
 
-import argparse
+import copy
 import csv
 import dataclasses
 import json
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from feedbackq import StateVector
 from feedbackq.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, SWEEP_COLUMNS, main
 
 
@@ -655,7 +656,6 @@ def test_shipped_configs_parse(tmp_path):
     """Each shipped config builds its experiment; a sweep its first point's."""
     from feedbackq import cli
 
-    args = argparse.Namespace(seed=None, shots=None, exact=False, out=None, axis=None)
     for name in (
         "ising_41_run.json",
         "ising_41_spectrum.json",
@@ -668,10 +668,10 @@ def test_shipped_configs_parse(tmp_path):
     ):
         doc = json.loads((CONFIG_DIR / name).read_text())
         if "sweep" in doc:
-            payload = cli._sweep_payloads(doc, args, CONFIG_DIR)[0]
+            payload = cli._sweep_payloads(doc, CONFIG_DIR)[0]
             experiments = cli._point_experiments(payload)
         else:
-            experiments = [cli.Experiment(doc, CONFIG_DIR, args)]
+            experiments = [cli.Experiment(doc, CONFIG_DIR)]
         assert experiments and all(exp.controls for exp in experiments), name
 
 
@@ -711,7 +711,8 @@ def test_sweep_seed_axis_honours_exact_and_shots(tmp_path):
 
 
 def test_stage_overrides_keep_parent_config(tmp_path, monkeypatch):
-    """A stage changes only dt, depth, trotter_slices and gains."""
+    """A stage changes only initial_state, dt, depth, trotter_slices and gains;
+    a field it leaves out keeps its top-level value."""
     from feedbackq import cli
 
     feedback = {
@@ -722,29 +723,89 @@ def test_stage_overrides_keep_parent_config(tmp_path, monkeypatch):
         {"dt": 0.05, "depth": 3, "trotter_slices": 2, "gains": 0.5},
         {"initial_state": "01", "gains": [2.0, 3.0]},
     ]
-    doc = bench_doc(feedback=feedback, stages=stages, count=2)
+    doc = bench_doc(feedback=feedback, stages=stages, count=2, initial_state="10")
     cfg = write_doc(tmp_path, doc)
 
-    seen = []
+    seen, starts = [], []
     original = cli.deflate_spectrum
 
     def recording(h0, h_ctrls, stages, alphas, **kwargs):
         seen.extend(config for _, config in stages)
+        starts.extend(start.amps for start, _ in stages)
         return original(h0, h_ctrls, stages, alphas, **kwargs)
 
     monkeypatch.setattr(cli, "deflate_spectrum", recording)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec")]) == EXIT_OK
 
-    parent = cli.parse_feedback(feedback, 2, 7, None, False)
+    parent = cli.parse_feedback(feedback, 2, 7)
     assert parent.budget.shots == 200
     assert seen == [
         dataclasses.replace(parent, dt=0.05, depth=3, trotter_slices=2, gains=(0.5, 0.5)),
         dataclasses.replace(parent, gains=(2.0, 3.0)),
     ]
+    assert np.array_equal(starts[0], StateVector.basis(2, "10").amps)
+    assert np.array_equal(starts[1], StateVector.basis(2, "01").amps)
 
     for bad in ({"dt": 0}, {"gains": [1.0, 1.0, 1.0]}, {"dt": "fast"}):
         broken = write_doc(tmp_path, dict(doc, stages=[bad, {}]), name="bad.json")
         assert main(["spectrum", "--config", broken, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+
+
+def _sampled(doc):
+    doc["feedback"].update(backend="overlap_hadamard", shots=50)
+    return doc
+
+
+# One config per subcommand, sampled so that the seed and the shots matter.
+FLAG_DOCS = {
+    "run": _sampled(bench_doc(feedback=dict(FEEDBACK))),
+    "spectrum": _sampled(bench_doc(feedback=dict(FEEDBACK), count=2, alpha={"strategy": "bound"})),
+    "sweep": _sampled(ising_sweep_doc("seed", [2, 3])),
+    "validate": _sampled(bench_doc(feedback=dict(FEEDBACK))),
+}
+# Each flag, with the config edit it stands for.
+FLAG_EDITS = {
+    "seed": (["--seed", "3"], lambda doc: doc.update(seed=3)),
+    "out": (["--out", "other/res"], lambda doc: doc.update(output="other/res")),
+    "shots": (["--shots", "500"], lambda doc: doc["feedback"].update(shots=500)),
+    "exact": (["--exact"], lambda doc: doc["feedback"].update(shots=None)),
+    "count": (["--count", "3"], lambda doc: doc.update(count=3)),
+    "axis": (["--axis", "n"], lambda doc: doc["sweep"].update(axis="n")),
+}
+
+
+def _outputs(root):
+    """Every file under `root`: CSV as bytes, JSON parsed without its wall time."""
+    files = {}
+    for path in sorted(root.rglob("*.*")):
+        name = path.relative_to(root)
+        if path.suffix == ".json":
+            files[name] = json.loads(path.read_text())
+            files[name].pop("wall_time_s", None)
+        else:
+            files[name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in FLAG_DOCS for flag in ("seed", "out", "shots", "exact")]
+    + [("spectrum", "count"), ("sweep", "axis")],
+)
+def test_flag_matches_its_config_edit(tmp_path, monkeypatch, command, flag):
+    """A flag gives the same outputs as the config field it sets."""
+    argv, edit = FLAG_EDITS[flag]
+    doc = dict(copy.deepcopy(FLAG_DOCS[command]), output="res/x")
+    edited = copy.deepcopy(doc)
+    edit(edited)
+    results = []
+    for name, config, flags in (("flag", doc, argv), ("edit", edited, [])):
+        cfg = write_doc(tmp_path, config, name=f"{name}.json")
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([command, "--config", cfg, *flags]) == EXIT_OK
+        results.append(_outputs(tmp_path / name))
+    assert results[0] and results[0] == results[1]
 
 
 def test_null_gains_mean_unit_gain(tmp_path):

@@ -446,7 +446,7 @@ def test_deflation_climbs_the_benchmark_spectrum():
     assert stages[0].energy == pytest.approx(-2.5, abs=0.15)
     assert stages[1].energy == pytest.approx(-1.5, abs=0.15)
     assert stages[0].warning is None and stages[1].warning is None
-    assert fidelity(BENCH_REF[1][1], stages[1].state) > 0.9
+    assert fidelity(BENCH_REF[1][1], stages[1].trace.final_state) > 0.9
 
 
 def test_deflation_accepts_per_stage_settings(monkeypatch):
@@ -502,10 +502,3 @@ def test_trace_depth_and_monitors():
     assert trace.controls.shape == (7, 2)
     assert trace.max_abs_controls().shape == (7,)
     assert list(trace.layers) == list(range(1, 8))
-
-
-def test_record_states_keeps_every_layer():
-    cfg = bench_config(depth=6, record_states=True)
-    trace = run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), cfg)
-    assert trace.states is not None and len(trace.states) == 6
-    assert np.array_equal(trace.states[-1].amps, trace.final_state.amps)

@@ -122,6 +122,16 @@ def test_format_rejects_complex_coefficients():
         format_sum(s)
 
 
+def test_repr_is_the_constructor_call():
+    """repr covers sums that format_sum refuses, and evaluates back to the sum."""
+    rng = np.random.default_rng(6)
+    sums = [PauliSum([("X", 1j)]), PauliSum([("X", 1.0 + 1.0j)]), PauliSum([("II", 0.0)])]
+    sums += [PauliSum(random_pauli_terms(rng, 3, 4)) for _ in range(5)]
+    for s in sums:
+        assert eval(repr(s), {"PauliSum": PauliSum}) == s
+    assert repr(PauliSum([("X", 1j)])) == "PauliSum([('X', 1j)], n=1)"
+
+
 def test_mixed_qubit_counts_rejected():
     with pytest.raises(ValueError):
         PauliSum([("XI", 1.0), ("X", 1.0)])
