@@ -22,7 +22,8 @@ records, counted as 3360 KiB for 2560 KiB of distinct arrays.
 
 A whole sum compiles from the phases into one coefficient vector per
 flip mask (`_compile`).  `dense_matrix` and `diagonal_values` read it,
-and so does the matrix-free Lanczos route of `reference_spectrum`.
+and so do `matrix_element_blocks` and the matrix-free Lanczos route of
+`reference_spectrum`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,9 @@ DENSE_QUBIT_LIMIT = 12
 DIAGONAL_QUBIT_LIMIT = 26
 KERNEL_CACHE_BYTES = 64 << 20
 DEGENERACY_TOL = 1e-9
+# `matrix_element_blocks` splits the columns into this many blocks, so
+# each temporary holds 1/16 of a 2**n x 2**n matrix.
+_ELEMENT_BLOCKS = 16
 
 # Lanczos reference spectra: stop when every wanted Ritz residual is at
 # most _LANCZOS_TOL * one_norm(h) and refuse a returned pair whose true
@@ -53,7 +57,8 @@ _LANCZOS_TOL = 1e-13
 _RESIDUAL_CHECK = 10.0
 _LANCZOS_MIN_DIM = 512
 _LANCZOS_LEVELS_PER_PAIR = 32
-_LANCZOS_CHECK_EVERY = 8
+_LANCZOS_FIRST_CHECK = 8
+_LANCZOS_MAX_GAP = 32
 _LANCZOS_MAX_STEPS = 1000
 _LANCZOS_SEED = 0x5EED
 
@@ -402,6 +407,55 @@ def dense_eigh(h: PauliSum) -> Tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(dense_matrix(h))
 
 
+def matrix_element_blocks(h: PauliSum, basis: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (start, basis^H H basis[:, start:start + width]) for each column block.
+
+    The columns split into `_ELEMENT_BLOCKS` blocks of `width` columns.
+    H acts through its compiled sum (one coefficient vector and one
+    gather per flip mask), so no 2**n x 2**n array other than `basis` is
+    formed.  Neither a conjugate nor a complex copy of `basis` is made:
+    a real basis meets a complex block's real and imaginary parts
+    separately.
+    """
+    dim = 1 << h.n
+    if basis.ndim != 2 or basis.shape[0] != dim:
+        raise ValueError(f"basis must have {dim} rows, got shape {basis.shape}")
+    compiled = _compile(h, _is_real(h))
+    idx = np.arange(dim, dtype=np.int64)
+    gathers = [(idx ^ xmask, vals[:, None]) for xmask, vals in compiled.items()]
+    dtype = np.result_type(basis, *compiled.values())
+    columns = basis.shape[1]
+    width = -(-columns // _ELEMENT_BLOCKS)
+    for start in range(0, columns, width):
+        stop = min(start + width, columns)
+        hv = np.zeros((dim, stop - start), dtype=dtype)
+        for gather, vals in gathers:
+            hv += vals * basis[gather, start:stop]
+        if np.iscomplexobj(basis):
+            block = np.conj(basis.T @ np.conj(hv))
+        elif np.iscomplexobj(hv):
+            block = basis.T @ hv.real + 1j * (basis.T @ hv.imag)
+        else:
+            block = basis.T @ hv
+        yield start, block
+
+
+def _next_check(previous: Optional[Tuple[int, float]], m: int, r: float, tol: float) -> int:
+    """Steps from a failed check at step m, residual r, to the next one.
+
+    Fits the residual's decay per step against the previous failed check
+    and lands where it should reach `tol`, within 1 to _LANCZOS_MAX_GAP
+    steps; _LANCZOS_FIRST_CHECK steps until two checks exist.
+    """
+    if previous is None:
+        return _LANCZOS_FIRST_CHECK
+    m0, r0 = previous
+    if not r < r0:  # no decay to extrapolate
+        return _LANCZOS_MAX_GAP
+    rate = math.log(r0 / r) / (m - m0)
+    return min(max(math.ceil(math.log(r / tol) / rate), 1), _LANCZOS_MAX_GAP)
+
+
 def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: float):
     """Lowest k Ritz pairs of one Lanczos run kept orthogonal to `locked`.
 
@@ -410,7 +464,10 @@ def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: fl
     basis vector.  Stops when every wanted pair's residual
     |beta_m * s_mi| is at most `tol`, or when the Krylov space closes
     (then fewer than k pairs may come back, none when `locked` already
-    spans the space).  Ritz pairs come back as rows.
+    spans the space).  The tridiagonal is solved only at checks: the
+    first at step max(k, _LANCZOS_FIRST_CHECK), each later one where the
+    residual trend predicts convergence (`_next_check`).  Ritz pairs
+    come back as rows.
     """
     dim = start.size
     room = dim - len(locked)
@@ -418,11 +475,15 @@ def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: fl
     rows = np.empty((len(locked) + min(room, 256), dim), dtype=start.dtype)
     rows[: len(locked)] = locked
     first = len(locked)
+    complex_rows = np.iscomplexobj(rows)
 
     def orthogonalize(w: np.ndarray, upto: int) -> None:
         if upto:
             q = rows[:upto]
-            w -= np.conj(q @ np.conj(w)) @ q
+            if complex_rows:
+                w -= np.conj(q @ np.conj(w)) @ q
+            else:
+                w -= (q @ w) @ q
 
     v = start
     for _ in range(2):
@@ -432,6 +493,8 @@ def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: fl
         return np.empty(0), np.empty((0, dim), dtype=start.dtype)
     v /= norm
     alphas, betas = [], []
+    check_at = max(k, _LANCZOS_FIRST_CHECK)
+    failed = None  # (step, largest wanted residual) of the last failed check
     for m in range(1, min(room, _LANCZOS_MAX_STEPS) + 1):
         if first + m > len(rows):
             grown = np.empty((2 * len(rows) - first, dim), dtype=rows.dtype)
@@ -445,15 +508,19 @@ def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: fl
             w -= betas[-1] * rows[first + m - 2]
         orthogonalize(w, first + m)
         alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(np.vdot(w, w).real)
         closed = m == room or beta <= tol
-        if closed or m == _LANCZOS_MAX_STEPS or (m >= k and m % _LANCZOS_CHECK_EVERY == 0):
+        if closed or m == _LANCZOS_MAX_STEPS or m == check_at:
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             theta, s = np.linalg.eigh(t)
-            if closed or np.all(beta * np.abs(s[-1, :k]) <= tol):
+            residual = float(np.max(beta * np.abs(s[-1, :k])))
+            if closed or residual <= tol:
                 return theta[:k], s[:, :k].T @ rows[first : first + m]
+            check_at = m + _next_check(failed, m, residual, tol)
+            failed = (m, residual)
         betas.append(beta)
-        v = w / beta
+        w /= beta
+        v = w
     raise np.linalg.LinAlgError(f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps")
 
 

@@ -263,6 +263,21 @@ def test_lanczos_spectrum_repeats_bit_for_bit():
         assert np.array_equal(a.amps, b.amps)
 
 
+def test_lanczos_solves_the_tridiagonal_only_when_convergence_is_due(monkeypatch):
+    """The residual trend schedules the checks: at most 10 tridiagonal
+    eigensolves for two levels of the nine-qubit ring."""
+    solves = []
+    original = np.linalg.eigh
+
+    def counting(a):
+        solves.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    reference_spectrum(MFI9, count=2)
+    assert 0 < len(solves) <= 10
+
+
 def test_spectrum_route_follows_the_size_rule(monkeypatch):
     """Below the crossover (and for count=None) the dense route runs; above it, Lanczos."""
     dense_calls = []
