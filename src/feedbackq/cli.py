@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -716,6 +715,10 @@ def cmd_sweep(args) -> int:
     # The pool starts every worker at once, so it never gets more than points.
     workers = min(args.jobs, len(payloads))
     if workers > 1:
+        # Imported here: the pool loads multiprocessing, which a serial
+        # sweep and every other subcommand never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:

@@ -28,7 +28,7 @@ from .sampling import (
     EXACT,
     ShotBudget,
     sample_hadamard_test,
-    sample_pauli_expectation,
+    sample_pauli_expectations,
     sample_zero_fraction,
 )
 from .states import (
@@ -175,17 +175,22 @@ def _controller_from_pieces(
     """Shared evaluation path for the exact and overlap/Hadamard backends.
 
     At an exact budget the commutator value is one `expectation` call;
-    a sampled budget estimates it term by term, each term on its own
-    stream.  The overlaps always flow through the sampling layer, whose
-    exact sentinel returns the underlying value untouched, so an exact
-    budget makes this function exact linear algebra.
+    a sampled budget estimates it term by term, term k on the stream
+    `budget.split("comm", k)`.  The overlaps always flow through the
+    sampling layer, whose exact sentinel returns the underlying value
+    untouched, so an exact budget makes this function exact linear
+    algebra.
     """
     if budget.exact:
         comm_value = expectation(state, comm)
     else:
+        terms = list(comm.items())
+        estimates = sample_pauli_expectations(
+            state, [(k, ops) for k, (ops, _) in enumerate(terms)], budget.split("comm")
+        )
         comm_value = 0.0
-        for k, (ops, coeff) in enumerate(comm.items()):
-            comm_value += coeff.real * sample_pauli_expectation(state, ops, budget.split("comm", k))
+        for (_, coeff), estimate in zip(terms, estimates):
+            comm_value += coeff.real * estimate
     pieces = []
     for j, shift in enumerate(p_op.shifts):
         w = 0j
@@ -228,11 +233,13 @@ def _sampled_lyapunov(state: StateVector, p_op: ShiftedOperator, budget: ShotBud
     exactly; everything else is one sampled scalar per term or shift.
     """
     ident = "I" * state.n
+    terms = [(k, ops, c.real) for k, (ops, c) in enumerate(p_op.h0.items()) if ops != ident]
+    estimates = sample_pauli_expectations(
+        state, [(k, ops) for k, ops, _ in terms], budget.split(tag, "h0")
+    )
     total = p_op.h0.identity_coefficient.real
-    for k, (ops, coeff) in enumerate(p_op.h0.items()):
-        if ops == ident:
-            continue
-        total += coeff.real * sample_pauli_expectation(state, ops, budget.split(tag, "h0", k))
+    for (_, _, coeff), estimate in zip(terms, estimates):
+        total += coeff * estimate
     for j, shift in enumerate(p_op.shifts):
         overlap_sq = min(fidelity(shift.state, state), 1.0)
         total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(tag, "shift", j))

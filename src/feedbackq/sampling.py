@@ -10,7 +10,9 @@ stream from the master seed through a counter-based path, so results
 are reproducible and independent of evaluation order.  A stream is the
 Philox generator of numpy's SeedSequence for the seed with the path as
 its spawn key; the budget keeps that sequence's entropy words, so a
-draw never rebuilds them.
+draw never rebuilds them.  An estimator with one stream per term keys
+all of them in one array pass from their common prefix
+(`ShotBudget.split_binomials`); the draws equal per-split draws.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +29,14 @@ from .states import StateVector, pauli_expectation, pauli_matrix_element
 
 _PARTS = ("real", "imag")
 
-# numpy's SeedSequence constants: the entropy pool size and the hash
-# `generate_state` runs over the pool.
+# numpy's SeedSequence constants: the entropy pool size, the hash that
+# mixes entropy words into the pool, and the hash `generate_state` runs
+# over the pool.
 _POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MASK32 = 0xFFFFFFFF
@@ -82,22 +89,95 @@ _cached_key_words = lru_cache(maxsize=4096, typed=True)(_key_words)
 _CACHED_KEYS = (str, int, np.integer)
 
 
-def _philox_key(pool: np.ndarray) -> List[int]:
-    """The key `Philox(seq)` takes: `seq.generate_state(2, np.uint64)` from seq's pool."""
-    h = _INIT_B
-    halves = []
-    for word in pool.tolist():
-        word ^= h
-        h = (h * _MULT_B) & _MASK32
-        word = (word * h) & _MASK32
-        halves.append(word ^ word >> 16)
-    return [halves[0] | halves[1] << 32, halves[2] | halves[3] << 32]
+def _hash_steps(const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A SeedSequence hash constant before and after each of its next four steps.
+
+    Entry i pairs with pool word i, so the arrays broadcast along the rows
+    of a batch of pools.
+    """
+    consts = np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(_POOL_SIZE + 1)],
+                      dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B)
+
+
+@lru_cache(maxsize=64)
+def _mix_steps(length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The hash constants that mix entropy word `length` (from 0) into the four pool words.
+
+    Mixing the first four words into the pool takes 16 hash steps and each
+    later word four, so the constant depends only on the word's position:
+    before word `length` it is INIT_A * MULT_A**(4 * length).
+    """
+    return _hash_steps(_INIT_A * pow(_MULT_A, _POOL_SIZE * length, 1 << 32), _MULT_A)
+
+
+def _philox_keys(pools: np.ndarray) -> List[List[int]]:
+    """The key `Philox(seq)` takes for each row of an (m, 4) uint32 array of pools.
+
+    That key is `seq.generate_state(2, np.uint64)`: each pool word hashed
+    with a constant that depends only on its position, then the four
+    words read little-endian as two 64-bit halves.
+    """
+    xor, mult = _STATE_STEPS
+    words = (pools ^ xor) * mult
+    words ^= words >> 16
+    return words.astype("<u4", copy=False).view("<u8").tolist()
+
+
+def _child_pools(pool: np.ndarray, length: int, keys: Sequence[int]) -> np.ndarray:
+    """Pools of the SeedSequences that extend `length` words of entropy by one key each.
+
+    `pool` is the pool those `length` words give.  SeedSequence mixes an
+    entropy word past the pool size into each pool word in turn,
+    pool[i] = mix(pool[i], hashmix(word)), advancing the hash constant
+    once per pool word.  Every key is one word at the same position, so
+    all children share those constants.  Returns one pool per row.
+    """
+    xor, mult = _mix_steps(length)
+    mixed = (np.array(keys, dtype=np.uint32)[:, None] ^ xor) * mult
+    mixed ^= mixed >> 16
+    pools = pool * _MIX_MULT_L - mixed * _MIX_MULT_R
+    pools ^= pools >> 16
+    return pools
 
 
 @lru_cache(maxsize=1)
-def _shared_generator() -> np.random.Generator:
-    # Built on first use: creating it at import costs every import memory.
-    return np.random.Generator(np.random.Philox(0))
+def _shared_generator() -> Tuple[np.random.Generator, dict]:
+    """One Philox generator and the state that re-keys it, both built on first use.
+
+    Creating them at import costs every import memory.  The state has a
+    zero counter and an empty buffer; a draw sets only its key.
+    """
+    gen = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen, state
+
+
+def _binomials(shots: int, keys: List[List[int]], probs: Sequence[float]) -> List[int]:
+    """One binomial(shots, p) draw from a fresh Philox stream per (key, p).
+
+    Instead of a new generator per draw, the shared Philox is re-keyed
+    through `.state`.  Parallel sweeps use processes, so no two threads
+    share that generator.
+    """
+    gen, state = _shared_generator()
+    bit_generator, inner = gen.bit_generator, state["state"]
+    draws = []
+    for key, p in zip(keys, probs):
+        inner["key"] = key
+        bit_generator.state = state
+        draws.append(gen.binomial(shots, p))
+    return draws
 
 
 @dataclass(frozen=True)
@@ -152,23 +232,22 @@ class ShotBudget:
         return np.random.Generator(np.random.Philox(self._seed_sequence()))
 
     def binomial(self, p: float) -> int:
-        """One binomial(shots, p) draw, equal to `self.rng().binomial(self.shots, p)`.
+        """One binomial(shots, p) draw, equal to `self.rng().binomial(self.shots, p)`."""
+        keys = _philox_keys(self._seed_sequence().pool[None, :])
+        return _binomials(self.shots, keys, (p,))[0]
 
-        Instead of a new generator per draw, one shared Philox is re-keyed
-        through `.state`: the key is `generate_state`'s hash of the entropy
-        pool, the counter is zero and the buffer empty.  Parallel sweeps
-        use processes, so no two threads share that generator.
+    def split_binomials(self, keys: Sequence[int], probs: Sequence[float]) -> List[int]:
+        """`[self.split(k).binomial(p) for k, p in zip(keys, probs)]`, keyed in one pass.
+
+        The children's pools and Philox keys come from this budget's pool
+        in array arithmetic instead of one SeedSequence per child.  Each
+        key must be an integer in [0, 2**32), which is one entropy word.
         """
-        gen = _shared_generator()
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": _philox_key(self._seed_sequence().pool)},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen.binomial(self.shots, p)
+        for k in keys:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= _MASK32:
+                raise ValueError(f"batched split keys must be integers in [0, 2**32), got {k!r}")
+        pools = _child_pools(self._seed_sequence().pool, len(self._words), keys)
+        return _binomials(self.shots, _philox_keys(pools), probs)
 
 
 EXACT = ShotBudget(shots=None)
@@ -185,21 +264,51 @@ def derive_seed(master: int, *key) -> int:
     return int(budget._seed_sequence().generate_state(1, np.uint64)[0])
 
 
+def _pm1_probability(exact_value: float) -> float:
+    """P(+1) = (1 + v)/2 of a {+1, -1} outcome with mean v."""
+    return min(max((1.0 + exact_value) / 2.0, 0.0), 1.0)
+
+
+def _pm1_mean(hits: int, shots: int) -> float:
+    """Mean of `shots` outcomes in {+1, -1} of which `hits` are +1."""
+    return 2.0 * hits / shots - 1.0
+
+
 def _sample_pm1(exact_value: float, budget: ShotBudget) -> float:
-    """Mean of `shots` outcomes in {+1, -1} with P(+1) = (1 + v)/2."""
-    p = min(max((1.0 + exact_value) / 2.0, 0.0), 1.0)
-    hits = budget.binomial(p)
-    return 2.0 * hits / budget.shots - 1.0
+    return _pm1_mean(budget.binomial(_pm1_probability(exact_value)), budget.shots)
+
+
+def _refuse_identity(ops: str) -> None:
+    if ops and ops.count("I") == len(ops):
+        raise ValueError("identity strings are not measured; fold them in classically")
 
 
 def sample_pauli_expectation(state: StateVector, ops: str, budget: ShotBudget) -> float:
     """Finite-shot estimate of <psi|O|psi> for a non-identity string O."""
-    if ops and ops.count("I") == len(ops):
-        raise ValueError("identity strings are not measured; fold them in classically")
+    _refuse_identity(ops)
     value = pauli_expectation(state, ops)
     if budget.exact:
         return value
     return _sample_pm1(value, budget)
+
+
+def sample_pauli_expectations(
+    state: StateVector, terms: Sequence[Tuple[int, str]], budget: ShotBudget
+) -> List[float]:
+    """`sample_pauli_expectation(state, ops, budget.split(k))` for each (k, ops) in terms.
+
+    The terms' streams are keyed in one pass (`split_binomials`), so each
+    k must be an integer in [0, 2**32).  Identity strings are refused as
+    in `sample_pauli_expectation`, before any value is computed.
+    """
+    for _, ops in terms:
+        _refuse_identity(ops)
+    values = [pauli_expectation(state, ops) for _, ops in terms]
+    if budget.exact:
+        return values
+    probs = [_pm1_probability(v) for v in values]
+    hits = budget.split_binomials([k for k, _ in terms], probs)
+    return [_pm1_mean(h, budget.shots) for h in hits]
 
 
 def sample_hadamard_test(

@@ -415,12 +415,18 @@ def matrix_element_blocks(h: PauliSum, basis: np.ndarray) -> Iterator[Tuple[int,
     gather per flip mask), so no 2**n x 2**n array other than `basis` is
     formed.  Neither a conjugate nor a complex copy of `basis` is made:
     a real basis meets a complex block's real and imaginary parts
-    separately.
+    separately.  A sum whose coefficient vectors are all purely
+    imaginary (single-Y strings, say) is i times a real sum, so a real
+    basis takes one real product per block.
     """
     dim = 1 << h.n
     if basis.ndim != 2 or basis.shape[0] != dim:
         raise ValueError(f"basis must have {dim} rows, got shape {basis.shape}")
-    compiled = _compile(h, _is_real(h))
+    real = _is_real(h)
+    compiled = _compile(h, real)
+    imaginary = not real and not any(vals.real.any() for vals in compiled.values())
+    if imaginary:
+        compiled = {xmask: vals.imag for xmask, vals in compiled.items()}
     idx = np.arange(dim, dtype=np.int64)
     gathers = [(idx ^ xmask, vals[:, None]) for xmask, vals in compiled.items()]
     dtype = np.result_type(basis, *compiled.values())
@@ -437,7 +443,7 @@ def matrix_element_blocks(h: PauliSum, basis: np.ndarray) -> Iterator[Tuple[int,
             block = basis.T @ hv.real + 1j * (basis.T @ hv.imag)
         else:
             block = basis.T @ hv
-        yield start, block
+        yield start, 1j * block if imaginary else block
 
 
 def _next_check(previous: Optional[Tuple[int, float]], m: int, r: float, tol: float) -> int:

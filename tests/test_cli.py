@@ -565,8 +565,6 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 def test_sweep_jobs_never_exceed_points(tmp_path, monkeypatch):
     """A pool gets at most one worker per point, and --jobs below 1 is a config error."""
-    from feedbackq import cli
-
     pools = []
 
     class Recorder:
@@ -584,7 +582,7 @@ def test_sweep_jobs_never_exceed_points(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     doc = {
         "seed": 3,
         "model": {"family": "ising_random", "n": 3, "instance_seed": 0},

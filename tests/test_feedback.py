@@ -32,6 +32,7 @@ from feedbackq import (
     fidelity,
     lyapunov_value,
     one_norm,
+    random_ising,
     reference_spectrum,
     run_falqon,
     run_fqae,
@@ -306,6 +307,38 @@ def test_sampled_controls_are_pinned():
     ]
     assert trace.final_controls == (-3.389999999999999, 2.2713)
     assert trace.lyapunov.tolist() == [1.7499999999999996, 1.3808352095321699, 0.16995661472754348]
+
+
+@pytest.mark.parametrize("backend", ["overlap_hadamard", "grad_fd", "grad_psr"])
+def test_sampled_runs_draw_per_term_streams(backend, monkeypatch):
+    """Batched term estimates give the controls that one split per term gives.
+
+    The reference estimates term k of a sum on `budget.split(k)` through
+    `sample_pauli_expectation`, which draws with `binomial` on that split
+    alone; any change of a draw on the batched route changes the controls.
+    """
+    from feedbackq import feedback
+
+    h0 = build_ising(random_ising(3, 0))
+    ground = reference_spectrum(h0, count=1)[0]
+    p_op = ShiftedOperator(h0, [Shift(4.0, ground[1], ground[0])])
+    cfg = FeedbackConfig(dt=0.05, gains=(1.0,) * 3, depth=8, backend=backend,
+                         budget=ShotBudget(200, seed=derive_seed(9, "shots")))
+
+    def run():
+        return run_fqae(h0, standard_controls("y_per_qubit", 3), p_op, StateVector.plus(3), cfg)
+
+    batched = run()
+
+    def term_by_term(state, terms, budget):
+        return [sample_pauli_expectation(state, ops, budget.split(k)) for k, ops in terms]
+
+    monkeypatch.setattr(feedback, "sample_pauli_expectations", term_by_term)
+    reference = run()
+    assert batched.depth == reference.depth == 8
+    assert np.array_equal(batched.controls, reference.controls)
+    assert np.array_equal(batched.lyapunov, reference.lyapunov)
+    assert np.count_nonzero(batched.controls) > 0
 
 
 @pytest.mark.parametrize("backend", ["overlap_hadamard", "grad_fd", "grad_psr"])

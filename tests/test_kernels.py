@@ -322,8 +322,14 @@ def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices
     real_basis=st.booleans(),
     seed=seeds,
 )
+@example(ops_list=["YIII", "IYII", "IIYI", "IIIY"], real_basis=True, seed=0)  # sum-Y
+@example(ops_list=["YZI", "XXY", "IYI"], real_basis=False, seed=1)
 def test_matrix_element_blocks_match_dense_product(ops_list, real_basis, seed):
-    """Block by block, basis^H H basis is the dense product, for real and complex sums and bases."""
+    """Block by block, basis^H H basis is the dense product, for real and complex sums and bases.
+
+    A sum of odd-Y strings is purely imaginary and meets a real basis in
+    one real product per block.
+    """
     rng = np.random.default_rng(seed)
     h, terms = _sum(rng, ops_list)
     dim = 1 << h.n

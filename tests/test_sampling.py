@@ -1,5 +1,7 @@
 """Shot-noise estimators: determinism, unbiasedness, and scaling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from feedbackq import (
     sample_pauli_expectation,
     sample_zero_fraction,
 )
+from feedbackq.sampling import sample_pauli_expectations
 
 from _oracles import dense_string, philox_stream, random_state, seed_sequence
 
@@ -23,6 +26,7 @@ PROPERTY = settings(max_examples=150, deadline=None, database=None)
 seeds = st.one_of(
     st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
     st.integers(0, 2**64 - 1),
+    st.integers(2**64, 2**127),
     st.integers(2**128, 2**200),  # longer than the 128-bit pool: no zero padding
 )
 keys = st.one_of(
@@ -97,6 +101,32 @@ def test_streams_match_numpy_keying(seed, first, second, shots, p, k):
     keys = first + second
     assert np.array_equal(make_rng(seed, *keys).random(k), philox_stream(seed, path).random(k))
     assert derive_seed(seed, *keys) == int(seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+@PROPERTY
+@given(seed=seeds, prefix=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=4)),
+                                   max_size=3),
+       shots=st.integers(1, 10**6),
+       draws=st.lists(st.tuples(st.one_of(st.just(2**32 - 1), st.integers(0, 2**32 - 1)),
+                                probabilities), max_size=12))
+@example(seed=2**64, prefix=["comm"], shots=1000, draws=[])
+@example(seed=0, prefix=[2**64 - 1, "h0"], shots=200, draws=[(2**32 - 1, 0.5)])
+@example(seed=2**100 + 3, prefix=[1, "h0"], shots=200,
+         draws=[(k, k / 20) for k in range(20)] + [(2**32 - 1, 1.0)])
+def test_split_binomials_match_per_split_draws(seed, prefix, shots, draws):
+    """A batch draws what one split per key draws, and what numpy's keying draws."""
+    budget = ShotBudget(shots, seed).split(*prefix)
+    keys = [k for k, _ in draws]
+    want = [philox_stream(seed, budget.path + (k,)).binomial(shots, p) for k, p in draws]
+    assert [budget.split(k).binomial(p) for k, p in draws] == want
+    assert budget.split_binomials(keys, [p for _, p in draws]) == want
+
+
+def test_split_binomials_refuse_keys_past_one_word():
+    budget = ShotBudget(10, seed=1).split("comm")
+    for key in (2**32, 2**64 - 1, -1, True, "0", 1.0):
+        with pytest.raises(ValueError):
+            budget.split_binomials([0, key], [0.5, 0.5])
 
 
 def test_exact_budget_split_is_the_budget_itself():
@@ -205,12 +235,14 @@ def test_zero_fraction_estimates_probability():
 
 
 def test_identity_expectation_rejected():
-    """Identity, empty and malformed strings all raise, sampled or exact."""
+    """Identity, empty and malformed strings all raise, sampled or exact, alone or batched."""
     state = StateVector.plus(2)
     for ops in ("II", "", "IQ"):
         for budget in (EXACT, ShotBudget(10)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as single:
                 sample_pauli_expectation(state, ops, budget)
+            with pytest.raises(ValueError, match=re.escape(str(single.value))):
+                sample_pauli_expectations(state, [(0, "XZ"), (1, ops)], budget)
 
 
 def test_out_of_range_probability_rejected():
