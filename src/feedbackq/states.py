@@ -20,9 +20,10 @@ one lookup, one gather and one multiply.  `KERNEL_CACHE_BYTES` bounds
 what is kept: a 10-qubit Ising run with the sum-X mixer keeps 166
 records, counted as 3360 KiB for 2560 KiB of distinct arrays.
 
-A whole sum compiles from the phases into one coefficient vector per
-flip mask (`_compile`).  `dense_matrix` and `diagonal_values` read it,
-and so do `matrix_element_blocks` and the matrix-free Lanczos route of
+A whole sum compiles from the phases into one `CompiledSum`: one
+coefficient row per flip mask, with the flip gathers built on its first
+`matvec`.  `dense_matrix` and `diagonal_values` read it, and so do
+`matrix_element_blocks` and the matrix-free Lanczos route of
 `reference_spectrum`.
 """
 
@@ -336,46 +337,66 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(inner(a, b)) ** 2
 
 
-def _is_real(h: PauliSum) -> bool:
-    """Real coefficients and an even number of Y letters in every string."""
-    return all(c.imag == 0 and _string_masks(ops)[2] % 2 == 0 for ops, c in h.items())
+class CompiledSum:
+    """A Pauli sum as one coefficient row per X/Y flip mask.
 
-
-def _compile(h: PauliSum, real: bool) -> Dict[int, np.ndarray]:
-    """The sum as one coefficient vector per X/Y flip mask.
-
-    (H psi)[i] = sum over masks m of coeffs[m][i] * psi[i ^ m]; mask 0 is
-    the diagonal.  Strings sharing a mask are added in the sum's
-    canonical order, so each entry is the same floating-point sum as the
-    matrix element it stands for.  `real` keeps only the real part of
-    each coefficient (float64) and needs an even Y count in every string,
-    whose phase then has a zero imaginary part; otherwise entries are
-    complex128 and an odd Y count contributes the factor 1j folded into
-    the string's phase.
+    (H psi)[i] = scale * sum over r of rows[r, i] * psi[i ^ masks[r]].
+    Masks keep their first appearance in the canonical term order, and
+    strings sharing a mask are added in that order, so each entry is the
+    same floating-point sum as the matrix element it stands for.  Rows are
+    float64 for a real sum (real coefficients, an even Y count in every
+    string), else complex128 with an odd Y count's 1j taken from the
+    phase.  Purely imaginary rows (single-Y strings, say) are kept as
+    their float64 imaginary parts with `scale` 1j.
     """
-    dim = 1 << h.n
-    coeffs: Dict[int, np.ndarray] = {}
-    for ops, coeff in h.items():
-        xmask = _string_masks(ops)[0]
-        phase = _kernel(ops).phase
-        if real:
-            coeff = coeff.real
-            phase = None if phase is None else phase.real
-        vals = coeffs.get(xmask)
-        if vals is None:
-            vals = coeffs[xmask] = np.zeros(dim, dtype=np.float64 if real else np.complex128)
-        vals += coeff if phase is None else coeff * phase
-    return coeffs
+
+    def __init__(self, h: PauliSum):
+        terms = [(ops, coeff, *_string_masks(ops)) for ops, coeff in h.items()]
+        self.real = all(coeff.imag == 0 and ny % 2 == 0 for _, coeff, _, _, ny in terms)
+        self.masks = list(dict.fromkeys(xmask for _, _, xmask, _, _ in terms))
+        rows = np.zeros((len(self.masks), 1 << h.n), dtype=np.float64 if self.real else np.complex128)
+        row_of = dict(zip(self.masks, rows))
+        for ops, coeff, xmask, _, _ in terms:
+            phase = _kernel(ops).phase
+            if self.real:
+                coeff, phase = coeff.real, None if phase is None else phase.real
+            row_of[xmask] += coeff if phase is None else coeff * phase  # in place: a view of rows
+        self.scale = 1.0 if self.real or rows.real.any() else 1j
+        self.rows = rows if self.scale == 1 else np.ascontiguousarray(rows.imag)
+        self._gathers: Optional[np.ndarray] = None  # built by the first matvec
+
+    def dense(self) -> np.ndarray:
+        """H as a 2**n x 2**n array: float64 for a real sum, complex128 otherwise."""
+        idx = np.arange(self.rows.shape[1], dtype=np.int64)
+        mat = np.zeros((idx.size, idx.size), dtype=np.float64 if self.real else np.complex128)
+        part = mat if self.scale == 1 else mat.imag
+        for xmask, row in zip(self.masks, self.rows):
+            part[idx, idx ^ xmask] += row
+        return mat
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """(H / scale) v for a vector (one einsum) or a (2**n, w) block (one gather per mask)."""
+        if self._gathers is None:
+            idx = np.arange(self.rows.shape[1], dtype=np.int64)
+            self._gathers = idx ^ np.array(self.masks, dtype=np.int64)[:, None]
+        if v.ndim == 1:
+            return np.einsum("ri,ri->i", self.rows, v[self._gathers])
+        out = np.zeros(v.shape, dtype=np.result_type(v, self.rows))
+        for gather, row in zip(self._gathers, self.rows):
+            out += row[:, None] * v[gather]
+        return out
 
 
 def diagonal_values(h: PauliSum) -> np.ndarray:
-    """Dense diagonal of a sum containing only I and Z letters."""
+    """Dense diagonal of a sum containing only I and Z letters: its real part, float64."""
     if not h.is_diagonal:
         raise ValueError("diagonal_values requires an I/Z-only sum")
     if h.n > DIAGONAL_QUBIT_LIMIT:
         raise ValueError(f"diagonal path supports n <= {DIAGONAL_QUBIT_LIMIT}")
-    diag = _compile(h, real=True).get(0)
-    return np.zeros(1 << h.n, dtype=np.float64) if diag is None else diag
+    compiled = CompiledSum(h)
+    if not compiled.masks or compiled.scale != 1:  # no terms, or no real part
+        return np.zeros(1 << h.n, dtype=np.float64)
+    return np.ascontiguousarray(compiled.rows[0].real)
 
 
 def dense_matrix(h: PauliSum) -> np.ndarray:
@@ -386,13 +407,7 @@ def dense_matrix(h: PauliSum) -> np.ndarray:
     """
     if h.n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"dense path supports n <= {DENSE_QUBIT_LIMIT}")
-    dim = 1 << h.n
-    idx = np.arange(dim, dtype=np.int64)
-    real = _is_real(h)
-    mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-    for xmask, vals in _compile(h, real).items():
-        mat[idx, idx ^ xmask] += vals
-    return mat
+    return CompiledSum(h).dense()
 
 
 def dense_eigh(h: PauliSum) -> Tuple[np.ndarray, np.ndarray]:
@@ -411,39 +426,28 @@ def matrix_element_blocks(h: PauliSum, basis: np.ndarray) -> Iterator[Tuple[int,
     """Yield (start, basis^H H basis[:, start:start + width]) for each column block.
 
     The columns split into `_ELEMENT_BLOCKS` blocks of `width` columns.
-    H acts through its compiled sum (one coefficient vector and one
-    gather per flip mask), so no 2**n x 2**n array other than `basis` is
-    formed.  Neither a conjugate nor a complex copy of `basis` is made:
-    a real basis meets a complex block's real and imaginary parts
-    separately.  A sum whose coefficient vectors are all purely
-    imaginary (single-Y strings, say) is i times a real sum, so a real
-    basis takes one real product per block.
+    H acts through `CompiledSum.matvec` on each column block, so no
+    2**n x 2**n array other than `basis` is formed.  Neither a conjugate
+    nor a complex copy of `basis` is made: a real basis meets a complex
+    block's real and imaginary parts separately.  A purely imaginary sum
+    (single-Y strings, say) compiles to real rows and `scale` 1j, so a
+    real basis takes one real product per block.
     """
     dim = 1 << h.n
     if basis.ndim != 2 or basis.shape[0] != dim:
         raise ValueError(f"basis must have {dim} rows, got shape {basis.shape}")
-    real = _is_real(h)
-    compiled = _compile(h, real)
-    imaginary = not real and not any(vals.real.any() for vals in compiled.values())
-    if imaginary:
-        compiled = {xmask: vals.imag for xmask, vals in compiled.items()}
-    idx = np.arange(dim, dtype=np.int64)
-    gathers = [(idx ^ xmask, vals[:, None]) for xmask, vals in compiled.items()]
-    dtype = np.result_type(basis, *compiled.values())
+    compiled = CompiledSum(h)
     columns = basis.shape[1]
     width = -(-columns // _ELEMENT_BLOCKS)
     for start in range(0, columns, width):
-        stop = min(start + width, columns)
-        hv = np.zeros((dim, stop - start), dtype=dtype)
-        for gather, vals in gathers:
-            hv += vals * basis[gather, start:stop]
+        hv = compiled.matvec(basis[:, start : start + width])
         if np.iscomplexobj(basis):
             block = np.conj(basis.T @ np.conj(hv))
         elif np.iscomplexobj(hv):
             block = basis.T @ hv.real + 1j * (basis.T @ hv.imag)
         else:
             block = basis.T @ hv
-        yield start, 1j * block if imaginary else block
+        yield start, block if compiled.scale == 1 else compiled.scale * block
 
 
 def _next_check(previous: Optional[Tuple[int, float]], m: int, r: float, tol: float) -> int:
@@ -542,25 +546,19 @@ def _lanczos_lowest(h: PauliSum, count: int) -> Tuple[np.ndarray, np.ndarray]:
     repeated calls agree bit for bit.  Returns ascending eigenvalues and
     eigenvectors as rows; every pair's true residual is checked.
     """
-    real = _is_real(h)
-    dtype = np.float64 if real else np.complex128
-    compiled = _compile(h, real)
-    # One row per flip mask: out[i] = sum over rows of coeffs[r, i] * v[gathers[r, i]].
-    idx = np.arange(1 << h.n, dtype=np.int64)
-    gathers = np.stack([idx ^ xmask for xmask in compiled])
-    coeffs = np.stack(list(compiled.values()))
+    compiled = CompiledSum(h)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return np.einsum("ri,ri->i", coeffs, v[gathers])
+        return compiled.matvec(v) if compiled.scale == 1 else compiled.scale * compiled.matvec(v)
 
     dim = 1 << h.n
     tol = _LANCZOS_TOL * max(sum(abs(c) for _, c in h.items()), 1.0)
     rng = np.random.default_rng(_LANCZOS_SEED)
     values = np.empty(0)
-    vectors = np.empty((0, dim), dtype=dtype)
+    vectors = np.empty((0, dim))  # takes the found pairs' dtype
     while True:
         start = rng.standard_normal(dim)
-        if not real:
+        if not compiled.real:
             start = start + 1j * rng.standard_normal(dim)
         found_values, found = _krylov_lowest(apply, max(count - len(values), 1), vectors, start, tol)
         if len(values) >= count:

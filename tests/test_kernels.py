@@ -24,9 +24,11 @@ from feedbackq import (
     random_ising,
     random_mfi,
     reference_spectrum,
+    standard_controls,
 )
 from feedbackq import states
 from feedbackq.states import (
+    CompiledSum,
     TrotterPlan,
     apply_pauli,
     apply_pauli_exp,
@@ -168,34 +170,65 @@ def test_dense_eigh_degenerate_eigenspace_matches_complex_route():
     np.testing.assert_allclose(projector(evecs), projector(want_vecs), rtol=0, atol=1e-10)
 
 
-def _per_string_matrix(h):
-    """Dense matrix scattered one string at a time, in the sum's canonical order."""
-    dim = 1 << h.n
+def _string_values(h):
+    """Each string's (flip mask, coefficient times phase), in the sum's canonical order."""
     real = all(c.imag == 0 and ops.count("Y") % 2 == 0 for ops, c in h.items())
-    mat = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-    rows = np.arange(dim)
+    out = []
     for ops, coeff in h.items():
         xmask, zmask, ny = states._string_masks(ops)
         coeff = coeff.real if real else coeff * 1j if ny % 2 else coeff
-        vals = np.full(dim, coeff, dtype=mat.dtype)
+        vals = np.full(1 << h.n, coeff, dtype=np.float64 if real else np.complex128)
         if zmask:
             phase = states._kernel(ops).phase
             vals *= phase.imag if ny % 2 else phase.real
+        out.append((xmask, vals))
+    return out
+
+
+def _per_string_matrix(h):
+    """Dense matrix scattered one string at a time, in the sum's canonical order."""
+    values = _string_values(h)
+    dim = 1 << h.n
+    mat = np.zeros((dim, dim), dtype=values[0][1].dtype)
+    rows = np.arange(dim)
+    for xmask, vals in values:
         mat[rows, rows ^ xmask] += vals
     return mat
 
 
+def _per_string_rows(h):
+    """Coefficient rows added one string at a time, keyed by flip mask in first-appearance order."""
+    rows = {}
+    for xmask, vals in _string_values(h):
+        rows[xmask] = rows.get(xmask, 0.0) + vals
+    return rows
+
+
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_compiled_sum_adds_terms_in_string_order(n):
-    """One scatter per flip mask gives bit for bit the per-string matrix and diagonal."""
+    """One scatter per flip mask gives bit for bit the per-string matrix, rows and diagonal.
+
+    The last sum has odd-Y strings only, so its rows are purely imaginary
+    and `CompiledSum` keeps their imaginary parts with scale 1j.
+    """
     rng = np.random.default_rng(n)
     sums = [
         build_mfi(random_mfi(n, 1)),
         PauliSum(random_pauli_terms(rng, n, 4 * n)),
         PauliSum([(_even_y(ops), c) for ops, c in random_pauli_terms(rng, n, 4 * n)]),
+        PauliSum([(_odd_y(ops), c) for ops, c in random_pauli_terms(rng, n, 2 * n)]),
     ]
     for h in sums:
         assert np.array_equal(dense_matrix(h), _per_string_matrix(h))
+        compiled = CompiledSum(h)
+        want = _per_string_rows(h)
+        assert compiled.masks == list(want)
+        want = np.array(list(want.values()))
+        if compiled.scale == 1j:
+            assert not want.real.any()
+            want = want.imag
+        assert compiled.rows.dtype == want.dtype and compiled.rows.tobytes() == want.tobytes()
+    assert CompiledSum(sums[-1]).scale == 1j
     diagonal = build_ising(random_ising(n, 2))
     want = np.diag(_per_string_matrix(diagonal))
     assert np.array_equal(diagonal_values(diagonal), want)
@@ -341,8 +374,75 @@ def test_matrix_element_blocks_match_dense_product(ops_list, real_basis, seed):
     starts, blocks = zip(*matrix_element_blocks(h, basis))
     assert starts == tuple(np.cumsum([0] + [b.shape[1] for b in blocks[:-1]]))
     got = np.hstack(blocks)
-    assert np.iscomplexobj(got) == (not real_basis or not states._is_real(h))
+    assert np.iscomplexobj(got) == (not real_basis or not CompiledSum(h).real)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+sum_kinds = st.sampled_from(["real", "complex", "imaginary"])
+
+
+@PROPERTY
+@given(
+    ops_list=st.integers(1, 6).flatmap(lambda n: st.lists(strings(n), min_size=1, max_size=6)),
+    kind=sum_kinds,
+    width=st.integers(1, 5),
+    real_v=st.booleans(),
+    seed=seeds,
+)
+def test_compiled_sum_matvec_matches_dense(ops_list, kind, width, real_v, seed):
+    """scale * matvec(v) is H v on a vector and on a column block, real or complex.
+
+    Real sums have real coefficients and even-Y strings; complex ones
+    complex coefficients; purely imaginary ones a factor 1j on every
+    even-Y string, so every term is imaginary and `scale` is 1j.
+    """
+    rng = np.random.default_rng(seed)
+    terms = []
+    for ops in ops_list:
+        coeff = float(rng.uniform(-2.0, 2.0))
+        if kind == "real":
+            ops = _even_y(ops)
+        elif kind == "complex":
+            coeff = complex(coeff, float(rng.uniform(-2.0, 2.0)))
+        elif ops.count("Y") % 2 == 0:
+            coeff *= 1j
+        terms.append((ops, coeff))
+    compiled = CompiledSum(PauliSum(terms))
+    assert compiled.real == (kind == "real")
+    assert compiled.scale == (1j if kind == "imaginary" else 1)
+    dim = 1 << len(ops_list[0])
+    v = rng.normal(size=(dim, width))
+    if not real_v:
+        v = v + 1j * rng.normal(size=(dim, width))
+    oracle = dense_sum(terms)
+    for x in (np.ascontiguousarray(v[:, 0]), v):
+        got = compiled.scale * compiled.matvec(x)
+        np.testing.assert_allclose(got, oracle @ x, rtol=0, atol=ATOL)
+
+
+def test_compiled_sum_keeps_sum_y_real_and_defers_gathers():
+    """Sum-Y compiles to float64 rows with scale 1j, so a real block stays real.
+
+    An I/Z-only sum forms no flip gather for its rows or its dense
+    matrix; the first matvec builds them.
+    """
+    sum_y = CompiledSum(standard_controls("global_xyz", 6)[1])
+    assert not sum_y.real and sum_y.scale == 1j and sum_y.rows.dtype == np.float64
+    assert sum_y.matvec(np.ones((64, 3))).dtype == np.float64
+    diagonal = CompiledSum(build_ising(random_ising(6, 0)))
+    assert diagonal.masks == [0] and diagonal.rows.dtype == np.float64
+    assert np.array_equal(np.diag(diagonal.dense()), diagonal.rows[0])
+    assert diagonal._gathers is None
+    assert np.array_equal(diagonal.matvec(np.ones(64)), diagonal.rows[0])
+    assert diagonal._gathers is not None
+
+
+def test_diagonal_values_keep_the_real_part():
+    """Imaginary coefficients within the hermitian tolerance leave a float64 diagonal."""
+    got = diagonal_values(PauliSum([("ZI", 1.0 + 1e-13j), ("IZ", 1e-13j)]))
+    assert got.dtype == np.float64 and np.array_equal(got, [1.0, 1.0, -1.0, -1.0])
+    got = diagonal_values(PauliSum([("ZI", 1e-13j)]))  # compiles to scale 1j
+    assert got.dtype == np.float64 and not got.any()
 
 
 def test_cached_kernels_are_read_only():
