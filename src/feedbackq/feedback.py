@@ -34,6 +34,7 @@ from .sampling import (
 from .states import (
     StateVector,
     TrotterPlan,
+    _check_count,
     apply_pauli,
     expectation,
     fidelity,
@@ -407,12 +408,10 @@ class FeedbackConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.gains or not all(0 < g < math.inf for g in self.gains):
             raise ValueError("gains must be a non-empty list of positive finite reals")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        _check_count("depth", self.depth)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.trotter_slices < 1:
-            raise ValueError(f"trotter_slices must be >= 1, got {self.trotter_slices}")
+        _check_count("trotter_slices", self.trotter_slices)
         if self.abort_on_increase is not None and math.isnan(self.abort_on_increase):
             raise ValueError("abort_on_increase must be a number or None, got nan")
 
@@ -560,10 +559,10 @@ def run_fqae(
         try:
             nxt = []
             for q in range(r):
-                u = controllers[q](state, budget.split(k, q))
-                if not np.isfinite(u):
+                u = float(controllers[q](state, budget.split(k, q)))
+                if not math.isfinite(u):
                     raise FloatingPointError(f"controller for channel {q} is not finite")
-                nxt.append(float(u))
+                nxt.append(u)
         except Exception as exc:
             raise FeedbackRunError(f"backend failed at layer {k}: {exc}", _trace(controls)) from exc
 

@@ -87,7 +87,7 @@ class PauliSum:
     @property
     def is_diagonal(self) -> bool:
         """True when every term uses only I and Z letters."""
-        return all(set(ops) <= {"I", "Z"} for ops in self._coeffs)
+        return not any("X" in ops or "Y" in ops for ops in self._coeffs)
 
     def coefficient(self, ops: str) -> complex:
         return self._coeffs.get(ops, 0j)

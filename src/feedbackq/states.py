@@ -20,6 +20,12 @@ one lookup, one gather and one multiply.  `KERNEL_CACHE_BYTES` bounds
 what is kept: a 10-qubit Ising run with the sum-X mixer keeps 166
 records, counted as 3360 KiB for 2560 KiB of distinct arrays.
 
+A `TrotterPlan` applied again at the same step folds its factors for
+that step: each factor's cosine and the exact vector -1j*sin(angle) *
+phase, kept while they fit in `_FOLD_BYTES` (1 MiB).  A folded factor is
+still one `_pauli_action`, given the folded vector for the phase, plus
+the cosine term: three array passes for an I/Z string instead of four.
+
 A whole sum compiles from the phases into one `CompiledSum`: one
 coefficient row per flip mask, with the flip gathers built on its first
 `matvec`.  `dense_matrix` and `diagonal_values` read it, and so do
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,6 +49,11 @@ NORM_TOL = 1e-9
 DENSE_QUBIT_LIMIT = 12
 DIAGONAL_QUBIT_LIMIT = 26
 KERNEL_CACHE_BYTES = 64 << 20
+# A `TrotterPlan` keeps at most this many bytes of folded vectors.  The
+# fold saves one pass over data already in cache, which pays only while
+# the folded vectors stay in cache as well: with all 5 MiB of a 12-qubit
+# Ising drift folded, runs were slower than unfolded ones.
+_FOLD_BYTES = 1 << 20
 DEGENERACY_TOL = 1e-9
 # `matrix_element_blocks` splits the columns into this many blocks, so
 # each temporary holds 1/16 of a 2**n x 2**n matrix.
@@ -164,10 +175,20 @@ def _kernel(ops: str) -> _Kernel:
     return _KERNELS.get(ops, _build_kernel)
 
 
-def _pauli_action(amps: np.ndarray, ops: str) -> np.ndarray:
-    """Return O|psi> as a fresh amplitude array."""
+def _pauli_action(amps: np.ndarray, ops: str, phase: Optional[np.ndarray] = None) -> np.ndarray:
+    """Return O|psi> as a fresh amplitude array.
+
+    A given `phase` stands in for the string's own: a repeated
+    `TrotterPlan` passes its folded -1j*sin(angle)*phase.  An I/Z string
+    then reads no kernel record at all.
+    """
     # A hit is one dict read; `_kernel` builds and keeps on a miss.
-    gather, phase = _KERNELS._arrays.get(ops) or _kernel(ops)
+    if phase is None:
+        gather, phase = _KERNELS._arrays.get(ops) or _kernel(ops)
+    elif _string_masks(ops)[0]:
+        gather = (_KERNELS._arrays.get(ops) or _kernel(ops)).gather
+    else:
+        return amps * phase
     if gather is None:
         return amps.copy() if phase is None else amps * phase
     out = amps[gather]
@@ -233,6 +254,14 @@ def _check_same_n(a_n: int, b_n: int) -> None:
         raise ValueError(f"qubit count mismatch: {a_n} vs {b_n}")
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse anything but a Python or numpy integer >= 1; a bool is refused too."""
+    # Exact type tests: an isinstance check against numbers.Integral costs
+    # about 1 us, and this runs on every plan application.
+    if (type(value) is not int and not isinstance(value, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def apply_pauli(state: StateVector, ops: str) -> np.ndarray:
     """O|psi> as a raw amplitude array (not unit norm in general contexts)."""
     if not isinstance(ops, str) or ops not in _KERNELS._arrays:
@@ -268,10 +297,20 @@ class TrotterPlan:
 
     One application advances by dt (times an optional scale folded into
     every factor angle, used for control unitaries exp(-i*u*dt*H)).
+
+    A plan applied again at the step it was last applied at (or once
+    with slices > 1) folds its factors for that step: per factor the
+    cosine and, for a string with a phase, the vector -1j*sin(angle) *
+    phase, while the folded bytes stay within `_FOLD_BYTES`.  A
+    folded factor is one `_pauli_action` with the folded vector plus
+    cos * psi, the same bits as `_exp_amps` in one pass fewer; X-only
+    and unfolded factors take `_exp_amps`.
     """
 
     factors: Tuple[Tuple[str, float], ...]
     dt: float
+    # (step, folded factors or None) of the last application.
+    _fold: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def from_sum(cls, h: PauliSum, dt: float) -> "TrotterPlan":
@@ -280,14 +319,50 @@ class TrotterPlan:
         return cls(tuple((ops, c.real) for ops, c in h.items()), float(dt))
 
     def apply(self, state: StateVector, scale: float = 1.0, slices: int = 1) -> StateVector:
-        if slices < 1:
-            raise ValueError("slices must be >= 1")
+        _check_count("slices", slices)
         amps = state.amps
         step = self.dt * scale / slices
+        last, folded = self._fold
+        if last != step:
+            folded = self._folded(step) if slices > 1 else None
+        elif folded is None:
+            folded = self._folded(step)
+        object.__setattr__(self, "_fold", (step, folded))
         for _ in range(slices):
-            for ops, coeff in self.factors:
-                amps = _exp_amps(amps, ops, coeff * step)
+            if folded is None:
+                for ops, coeff in self.factors:
+                    amps = _exp_amps(amps, ops, coeff * step)
+                continue
+            for ops, angle, c, vec in folded:
+                if vec is None:
+                    amps = _exp_amps(amps, ops, angle)
+                else:
+                    out = _pauli_action(amps, ops, vec)
+                    out += c * amps
+                    amps = out
         return StateVector(amps, copy=False)
+
+    def _folded(self, step: float) -> Tuple[Tuple[str, float, complex, Optional[np.ndarray]], ...]:
+        """(ops, angle, cos(angle), -1j*sin(angle) * phase) per factor.
+
+        The vector is None for an X-only string and past the byte budget.
+        Every phase entry is +/-1 or +/-1j, so the vector is exact and the
+        one multiply by it gives the bits of `_exp_amps`'s two.
+        """
+        room = _FOLD_BYTES
+        folded = []
+        for ops, coeff in self.factors:
+            angle = coeff * step
+            phase = _kernel(ops).phase
+            if phase is None or phase.nbytes > room:
+                folded.append((ops, angle, None, None))
+                continue
+            room -= phase.nbytes
+            # A complex cosine multiplies as the float one does (numpy casts the
+            # float to complex first) with less per-call work.
+            c = complex(math.cos(angle))
+            folded.append((ops, angle, c, phase * (-1j * math.sin(angle))))
+        return tuple(folded)
 
 
 def apply_sum_trotter(state: StateVector, h: PauliSum, t: float, slices: int = 1) -> StateVector:
@@ -302,13 +377,20 @@ def apply_sum_trotter(state: StateVector, h: PauliSum, t: float, slices: int = 1
 
 def pauli_expectation(state: StateVector, ops: str) -> float:
     """<psi|O|psi> for one Pauli string (real by hermiticity)."""
-    return float(np.vdot(state.amps, apply_pauli(state, ops)).real)
+    # `apply_pauli`'s checks inline: this is the sampled estimators' hot call.
+    if not isinstance(ops, str) or ops not in _KERNELS._arrays:
+        _check_ops(ops)
+    _check_same_n(len(ops), state.n)
+    return float(np.vdot(state.amps, _pauli_action(state.amps, ops)).real)
 
 
 def pauli_matrix_element(a: StateVector, ops: str, b: StateVector) -> complex:
     """<a|O|b> for one Pauli string."""
     _check_same_n(a.n, b.n)
-    return complex(np.vdot(a.amps, apply_pauli(b, ops)))
+    if not isinstance(ops, str) or ops not in _KERNELS._arrays:
+        _check_ops(ops)
+    _check_same_n(len(ops), b.n)
+    return complex(np.vdot(a.amps, _pauli_action(b.amps, ops)))
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:
@@ -391,6 +473,11 @@ def diagonal_values(h: PauliSum) -> np.ndarray:
     """Dense diagonal of a sum containing only I and Z letters: its real part, float64."""
     if not h.is_diagonal:
         raise ValueError("diagonal_values requires an I/Z-only sum")
+    return _diagonal(h)
+
+
+def _diagonal(h: PauliSum) -> np.ndarray:
+    """`diagonal_values` for a sum already known to be I/Z-only."""
     if h.n > DIAGONAL_QUBIT_LIMIT:
         raise ValueError(f"diagonal path supports n <= {DIAGONAL_QUBIT_LIMIT}")
     compiled = CompiledSum(h)
@@ -599,7 +686,7 @@ def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[floa
             raise ValueError(
                 f"materializing all 2**{h.n} eigenvectors is not supported; pass count"
             )
-        diag = diagonal_values(h)
+        diag = _diagonal(h)
         order = np.argsort(diag, kind="stable")
         if count is not None:
             order = order[:count]

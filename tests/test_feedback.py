@@ -436,6 +436,18 @@ def test_config_validation():
         FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, abort_on_increase=math.nan)
 
 
+def test_config_refuses_non_integer_counts():
+    """A float or bool depth or slice count is a ValueError, not a TypeError mid-run."""
+    for bad in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+            FeedbackConfig(dt=0.1, gains=(1.0,), depth=bad)
+        with pytest.raises(ValueError, match="trotter_slices must be an integer >= 1"):
+            FeedbackConfig(dt=0.1, gains=(1.0,), depth=5, trotter_slices=bad)
+    cfg = FeedbackConfig(dt=0.1, gains=(1.0, 1.0), depth=np.int64(2), trotter_slices=np.int32(2))
+    trace = run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), cfg)
+    assert trace.depth == 2
+
+
 def test_shift_and_operator_validation():
     for alpha in (0.0, math.nan):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ a returned array must never alias the input state or a cached buffer.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -336,15 +337,67 @@ def test_kernels_match_reference_bits(ops, angle, kind, seed):
     seed=seeds,
 )
 def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices, kind, seed):
+    """Applied twice at one step (the second time folded) and once at another, with and
+    without room to fold, a plan gives the reference bits every time."""
     state = _kernel_state(np.random.default_rng(seed), len(ops_list[0]), kind)
-    plan = TrotterPlan(tuple(zip(ops_list, coeffs)), dt)
-    want = state.amps
-    step = dt * scale / slices
-    for _ in range(slices):
-        for ops, coeff in plan.factors:
-            want = reference_pauli_exp(want, ops, coeff * step)
-    got = plan.apply(state, scale=scale, slices=slices).amps
-    _assert_reference_bits(got, want, state.amps)
+    factors = tuple(zip(ops_list, coeffs))
+    runs = []
+    for budget in (states._FOLD_BYTES, 0):
+        with mock.patch.object(states, "_FOLD_BYTES", budget):
+            plan = TrotterPlan(factors, dt)
+            runs.append([plan.apply(state, scale=s, slices=slices).amps
+                         for s in (scale, scale, 0.5 - scale)])
+    for s, got, unfolded in zip((scale, scale, 0.5 - scale), *runs):
+        want = state.amps
+        step = dt * s / slices
+        for _ in range(slices):
+            for ops, coeff in factors:
+                want = reference_pauli_exp(want, ops, coeff * step)
+        _assert_reference_bits(got, want, state.amps)
+        _assert_reference_bits(unfolded, want, state.amps)
+
+
+def test_repeated_plan_folds_within_budget(monkeypatch):
+    """Each application makes one `_pauli_action` per factor.  A second application at
+    the same step (or a first with slices > 1) runs `_exp_amps` only for X-only strings
+    and for the factors past the byte budget."""
+    factors = (("ZZI", 0.3), ("XYZ", -0.7), ("XIX", 0.2), ("IZZ", 1.1))
+    state = StateVector.plus(3)
+    action, exp_amps = states._pauli_action, states._exp_amps
+    calls = []
+
+    def counted_action(*args):
+        calls.append(None)
+        return action(*args)
+
+    def counted_exp(amps, ops, angle):
+        calls.append(ops)
+        return exp_amps(amps, ops, angle)
+
+    monkeypatch.setattr(states, "_pauli_action", counted_action)
+    monkeypatch.setattr(states, "_exp_amps", counted_exp)
+
+    def generic(plan, scale=1.0, slices=1):
+        """The strings that took `_exp_amps`, after checking the action count."""
+        calls.clear()
+        plan.apply(state, scale=scale, slices=slices)
+        assert calls.count(None) == len(factors) * slices
+        return [ops for ops in calls if ops is not None]
+
+    every = [ops for ops, _ in factors]
+    plan = TrotterPlan(factors, 0.1)
+    assert generic(plan) == every
+    assert generic(plan) == generic(plan) == ["XIX"]
+    assert generic(plan, scale=2.0) == every
+    assert generic(plan, scale=2.0, slices=2) == ["XIX"] * 2  # a new step, folded at once
+    assert generic(plan, scale=-1.0) == every
+
+    phase_bytes = 16 << 3
+    monkeypatch.setattr(states, "_FOLD_BYTES", phase_bytes)  # room for one phase
+    plan = TrotterPlan(factors, 0.1)
+    assert generic(plan, slices=2) == ["XYZ", "XIX", "IZZ"] * 2
+    _, folded = plan._fold
+    assert sum(vec.nbytes for *_, vec in folded if vec is not None) == phase_bytes
 
 
 @PROPERTY

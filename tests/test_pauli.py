@@ -142,6 +142,13 @@ def test_hermitian_flag():
     assert not PauliSum([("XY", 1.0j)]).is_hermitian
 
 
+def test_diagonal_flag():
+    assert PauliSum([("IZ", 1.0), ("ZZ", -0.5), ("II", 2.0)]).is_diagonal
+    assert PauliSum([], n=2).is_diagonal
+    for flip in ("XI", "IY", "YX"):
+        assert not PauliSum([("ZZ", 1.0), (flip, 0.5)]).is_diagonal
+
+
 def test_pauli_term_products_carry_phases():
     """XY = iZ with coefficients multiplied through."""
     ((ops, coeff),) = product(PauliSum([("X", 2.0)]), PauliSum([("Y", 3.0)])).items()

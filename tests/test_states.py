@@ -87,6 +87,14 @@ def test_trotter_single_slice_is_term_product():
     assert np.allclose(got.amps, cur, atol=1e-10)
 
 
+def test_trotter_plan_refuses_non_integer_slices():
+    plan = TrotterPlan.from_sum(PauliSum([("XZ", 0.5)]), 0.3)
+    state = StateVector.plus(2)
+    for bad in (0, -1, 1.5, 2.0, True):
+        with pytest.raises(ValueError, match="slices must be an integer >= 1"):
+            plan.apply(state, slices=bad)
+
+
 def test_trotter_error_shrinks_linearly_in_slice_count():
     """First-order splitting error falls as 1/slices."""
     rng = np.random.default_rng(8)
@@ -162,6 +170,20 @@ def test_pauli_expectation_is_real_part_of_element():
     got = pauli_expectation(state, "XYZ")
     want = np.real(amps.conj() @ dense_string("XYZ") @ amps)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_single_string_reads_keep_apply_pauli_checks():
+    """pauli_expectation and pauli_matrix_element refuse what apply_pauli refuses, alike."""
+    a, b = StateVector.plus(2), StateVector.plus(2)
+    for ops in ("XQ", "XYZ", "", 3):
+        with pytest.raises(Exception) as want:
+            apply_pauli(b, ops)
+        for read in (lambda: pauli_expectation(b, ops), lambda: pauli_matrix_element(a, ops, b)):
+            with pytest.raises(type(want.value)) as got:
+                read()
+            assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        pauli_matrix_element(StateVector.plus(3), "XY", b)
 
 
 def test_inner_and_fidelity():
