@@ -559,10 +559,10 @@ def run_fqae(
         try:
             nxt = []
             for q in range(r):
-                u = float(controllers[q](state, budget.split(k, q)))
-                if not math.isfinite(u):
+                u = controllers[q](state, budget.split(k, q))
+                if not np.isfinite(u):
                     raise FloatingPointError(f"controller for channel {q} is not finite")
-                nxt.append(u)
+                nxt.append(float(u))
         except Exception as exc:
             raise FeedbackRunError(f"backend failed at layer {k}: {exc}", _trace(controls)) from exc
 

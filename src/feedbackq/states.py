@@ -22,9 +22,10 @@ records, counted as 3360 KiB for 2560 KiB of distinct arrays.
 
 A `TrotterPlan` applied again at the same step folds its factors for
 that step: each factor's cosine and the exact vector -1j*sin(angle) *
-phase, kept while they fit in `_FOLD_BYTES` (1 MiB).  A folded factor is
-still one `_pauli_action`, given the folded vector for the phase, plus
-the cosine term: three array passes for an I/Z string instead of four.
+phase, when all of the plan's folded vectors fit in `KERNEL_CACHE_BYTES`.
+A folded factor is still one `_pauli_action`, given the folded vector for
+the phase, plus the cosine term: three array passes for an I/Z string
+instead of four.
 
 A whole sum compiles from the phases into one `CompiledSum`: one
 coefficient row per flip mask, with the flip gathers built on its first
@@ -49,11 +50,6 @@ NORM_TOL = 1e-9
 DENSE_QUBIT_LIMIT = 12
 DIAGONAL_QUBIT_LIMIT = 26
 KERNEL_CACHE_BYTES = 64 << 20
-# A `TrotterPlan` keeps at most this many bytes of folded vectors.  The
-# fold saves one pass over data already in cache, which pays only while
-# the folded vectors stay in cache as well: with all 5 MiB of a 12-qubit
-# Ising drift folded, runs were slower than unfolded ones.
-_FOLD_BYTES = 1 << 20
 DEGENERACY_TOL = 1e-9
 # `matrix_element_blocks` splits the columns into this many blocks, so
 # each temporary holds 1/16 of a 2**n x 2**n matrix.
@@ -301,7 +297,7 @@ class TrotterPlan:
     A plan applied again at the step it was last applied at (or once
     with slices > 1) folds its factors for that step: per factor the
     cosine and, for a string with a phase, the vector -1j*sin(angle) *
-    phase, while the folded bytes stay within `_FOLD_BYTES`.  A
+    phase, when all of them fit in `KERNEL_CACHE_BYTES`.  A
     folded factor is one `_pauli_action` with the folded vector plus
     cos * psi, the same bits as `_exp_amps` in one pass fewer; X-only
     and unfolded factors take `_exp_amps`.
@@ -328,12 +324,9 @@ class TrotterPlan:
         elif folded is None:
             folded = self._folded(step)
         object.__setattr__(self, "_fold", (step, folded))
+        factors = folded or [(ops, coeff * step, None, None) for ops, coeff in self.factors]
         for _ in range(slices):
-            if folded is None:
-                for ops, coeff in self.factors:
-                    amps = _exp_amps(amps, ops, coeff * step)
-                continue
-            for ops, angle, c, vec in folded:
+            for ops, angle, c, vec in factors:
                 if vec is None:
                     amps = _exp_amps(amps, ops, angle)
                 else:
@@ -345,19 +338,19 @@ class TrotterPlan:
     def _folded(self, step: float) -> Tuple[Tuple[str, float, complex, Optional[np.ndarray]], ...]:
         """(ops, angle, cos(angle), -1j*sin(angle) * phase) per factor.
 
-        The vector is None for an X-only string and past the byte budget.
+        The vector is None for an X-only string, and for every factor when
+        the plan's folded vectors would not all fit in `KERNEL_CACHE_BYTES`.
         Every phase entry is +/-1 or +/-1j, so the vector is exact and the
         one multiply by it gives the bits of `_exp_amps`'s two.
         """
-        room = _FOLD_BYTES
+        phases = [_kernel(ops).phase for ops, _ in self.factors]
+        fits = sum(p.nbytes for p in phases if p is not None) <= KERNEL_CACHE_BYTES
         folded = []
-        for ops, coeff in self.factors:
+        for (ops, coeff), phase in zip(self.factors, phases):
             angle = coeff * step
-            phase = _kernel(ops).phase
-            if phase is None or phase.nbytes > room:
+            if phase is None or not fits:
                 folded.append((ops, angle, None, None))
                 continue
-            room -= phase.nbytes
             # A complex cosine multiplies as the float one does (numpy casts the
             # float to complex first) with less per-call work.
             c = complex(math.cos(angle))
@@ -377,20 +370,13 @@ def apply_sum_trotter(state: StateVector, h: PauliSum, t: float, slices: int = 1
 
 def pauli_expectation(state: StateVector, ops: str) -> float:
     """<psi|O|psi> for one Pauli string (real by hermiticity)."""
-    # `apply_pauli`'s checks inline: this is the sampled estimators' hot call.
-    if not isinstance(ops, str) or ops not in _KERNELS._arrays:
-        _check_ops(ops)
-    _check_same_n(len(ops), state.n)
-    return float(np.vdot(state.amps, _pauli_action(state.amps, ops)).real)
+    return float(np.vdot(state.amps, apply_pauli(state, ops)).real)
 
 
 def pauli_matrix_element(a: StateVector, ops: str, b: StateVector) -> complex:
     """<a|O|b> for one Pauli string."""
     _check_same_n(a.n, b.n)
-    if not isinstance(ops, str) or ops not in _KERNELS._arrays:
-        _check_ops(ops)
-    _check_same_n(len(ops), b.n)
-    return complex(np.vdot(a.amps, _pauli_action(b.amps, ops)))
+    return complex(np.vdot(a.amps, apply_pauli(b, ops)))
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:

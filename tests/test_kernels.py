@@ -342,8 +342,8 @@ def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices
     state = _kernel_state(np.random.default_rng(seed), len(ops_list[0]), kind)
     factors = tuple(zip(ops_list, coeffs))
     runs = []
-    for budget in (states._FOLD_BYTES, 0):
-        with mock.patch.object(states, "_FOLD_BYTES", budget):
+    for budget in (states.KERNEL_CACHE_BYTES, 0):
+        with mock.patch.object(states, "KERNEL_CACHE_BYTES", budget):
             plan = TrotterPlan(factors, dt)
             runs.append([plan.apply(state, scale=s, slices=slices).amps
                          for s in (scale, scale, 0.5 - scale)])
@@ -359,8 +359,8 @@ def test_trotter_plan_matches_reference_bits(ops_list, coeffs, dt, scale, slices
 
 def test_repeated_plan_folds_within_budget(monkeypatch):
     """Each application makes one `_pauli_action` per factor.  A second application at
-    the same step (or a first with slices > 1) runs `_exp_amps` only for X-only strings
-    and for the factors past the byte budget."""
+    the same step (or a first with slices > 1) runs `_exp_amps` only for X-only strings,
+    unless the plan's folded vectors do not all fit in `KERNEL_CACHE_BYTES`."""
     factors = (("ZZI", 0.3), ("XYZ", -0.7), ("XIX", 0.2), ("IZZ", 1.1))
     state = StateVector.plus(3)
     action, exp_amps = states._pauli_action, states._exp_amps
@@ -392,12 +392,15 @@ def test_repeated_plan_folds_within_budget(monkeypatch):
     assert generic(plan, scale=2.0, slices=2) == ["XIX"] * 2  # a new step, folded at once
     assert generic(plan, scale=-1.0) == every
 
-    phase_bytes = 16 << 3
-    monkeypatch.setattr(states, "_FOLD_BYTES", phase_bytes)  # room for one phase
+    folded_bytes = 3 * (16 << 3)  # three strings with a phase, 8 amplitudes each
+    monkeypatch.setattr(states, "KERNEL_CACHE_BYTES", folded_bytes)
     plan = TrotterPlan(factors, 0.1)
-    assert generic(plan, slices=2) == ["XYZ", "XIX", "IZZ"] * 2
+    assert generic(plan, slices=2) == ["XIX"] * 2
     _, folded = plan._fold
-    assert sum(vec.nbytes for *_, vec in folded if vec is not None) == phase_bytes
+    assert sum(vec.nbytes for *_, vec in folded if vec is not None) == folded_bytes
+    monkeypatch.setattr(states, "KERNEL_CACHE_BYTES", folded_bytes - 1)  # all or nothing
+    plan = TrotterPlan(factors, 0.1)
+    assert generic(plan, slices=2) == generic(plan, slices=2) == every * 2
 
 
 @PROPERTY

@@ -172,20 +172,6 @@ def test_pauli_expectation_is_real_part_of_element():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_single_string_reads_keep_apply_pauli_checks():
-    """pauli_expectation and pauli_matrix_element refuse what apply_pauli refuses, alike."""
-    a, b = StateVector.plus(2), StateVector.plus(2)
-    for ops in ("XQ", "XYZ", "", 3):
-        with pytest.raises(Exception) as want:
-            apply_pauli(b, ops)
-        for read in (lambda: pauli_expectation(b, ops), lambda: pauli_matrix_element(a, ops, b)):
-            with pytest.raises(type(want.value)) as got:
-                read()
-            assert str(got.value) == str(want.value)
-    with pytest.raises(ValueError, match="qubit count mismatch"):
-        pauli_matrix_element(StateVector.plus(3), "XY", b)
-
-
 def test_inner_and_fidelity():
     rng = np.random.default_rng(41)
     a, b = random_state(rng, 4), random_state(rng, 4)
