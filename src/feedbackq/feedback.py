@@ -483,6 +483,8 @@ def run_fqae(
             raise ValueError("control Hamiltonians must be hermitian on the same qubits")
     if psi0.n != h0.n:
         raise ValueError("initial state qubit count does not match the drift")
+    if any(ref.n != h0.n for ref in track_states):
+        raise ValueError("tracked state qubit count does not match the drift")
 
     backend = config.backend
     budget = EXACT if backend == "exact" else config.budget

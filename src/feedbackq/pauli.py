@@ -6,6 +6,9 @@ from such pairs and `items()` yields them back.  Qubit 0 is the leftmost factor 
 the most significant bit of basis-state labels, so the string "ZI" acts
 as Z on qubit 0 and identity on qubit 1.
 
+Products, commutators and the statevector kernels all read one map from
+letters to bits, `_string_masks` (Aaronson and Gottesman, PRA 70, 052328).
+
 Canonical form: within a sum, no two terms share an ops string,
 coefficients below 1e-14 in magnitude are pruned, and terms are ordered
 lexicographically with I < X < Y < Z (plain string order does this).
@@ -13,21 +16,17 @@ lexicographically with I < X < Y < Z (plain string order does this).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Tuple
 
 PRUNE_TOL = 1e-14
 HERMITIAN_TOL = 1e-12
 
 _LETTERS = frozenset("IXYZ")
-
-# Single-qubit products a*b -> (phase, letter).
-_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "Z"): (1j, "X"), ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"), ("Z", "Y"): (-1j, "X"), ("X", "Z"): (-1j, "Y"),
-}
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_PHASE_BITS = str.maketrans("IXYZ", "0011")
+_DIGIT_LETTERS = str.maketrans("0123", "IXZY")  # digit flip + 2 * phase
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k at index k
 
 
 def _check_ops(ops: str) -> str:
@@ -39,19 +38,41 @@ def _check_ops(ops: str) -> str:
     return ops
 
 
-def _multiply(a_ops: str, b_ops: str) -> Tuple[complex, str]:
-    """Operator product of two equal-length strings as (phase, string).
+@lru_cache(maxsize=None)
+def _string_masks(ops: str) -> Tuple[int, int, int]:
+    """(flip mask, phase mask, number of Y letters) for one valid Pauli string.
 
-    The phase is 1, -1, 1j or -1j; it is imaginary exactly when the two
-    strings anticommute (an odd number of clashing factors).
+    Qubit 0 is the most significant bit.  X and Y set the flip bit, Z and
+    Y the phase bit, so the string is i**n_Y * X^flip * Z^phase.
     """
-    phase = 1 + 0j
-    letters = []
-    for pa, pb in zip(a_ops, b_ops):
-        ph, letter = _MUL[(pa, pb)]
-        phase *= ph
-        letters.append(letter)
-    return phase, "".join(letters)
+    return int(ops.translate(_FLIP_BITS), 2), int(ops.translate(_PHASE_BITS), 2), ops.count("Y")
+
+
+@lru_cache(maxsize=None)
+def _mask_string(n: int, xmask: int, zmask: int) -> str:
+    """The n-qubit string with these flip and phase masks (inverse of `_string_masks`)."""
+    # The masks' binary digits read as decimal numbers add without a carry,
+    # so each decimal digit of flip + 2 * phase is one qubit's letter.
+    return f"{int(f'{xmask:b}') + 2 * int(f'{zmask:b}'):0{n}d}".translate(_DIGIT_LETTERS)
+
+
+def _term_products(a: PauliSum, b: PauliSum, anticommuting: bool = False) -> Iterator[Tuple[str, complex]]:
+    """(string, ca * cb * phase) of each term pair's product, a's terms outer.
+
+    With masks x, z and Y count y per string, the product's masks are the
+    xors and its phase is i**(y_a + y_b - y_ab) * (-1)**popcount(z_a & x_b).
+    A pair anticommutes exactly when popcount(x_a & z_b ^ z_a & x_b) is odd;
+    `anticommuting` skips every other pair before its product is formed.
+    """
+    b_terms = [(cb, _string_masks(ops)) for ops, cb in b.items()]
+    for ops, ca in a.items():
+        xa, za, ya = _string_masks(ops)
+        for cb, (xb, zb, yb) in b_terms:
+            if anticommuting and not ((xa & zb) ^ (za & xb)).bit_count() & 1:
+                continue
+            x, z = xa ^ xb, za ^ zb
+            k = ya + yb - (x & z).bit_count() + 2 * (za & xb).bit_count()
+            yield _mask_string(a.n, x, z), ca * cb * _I_POWERS[k % 4]
 
 
 class PauliSum:
@@ -134,12 +155,7 @@ def product(a: PauliSum, b: PauliSum) -> PauliSum:
     """Full operator product a*b expanded back into a canonical sum."""
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
-    out = []
-    for a_ops, ca in a.items():
-        for b_ops, cb in b.items():
-            phase, ops = _multiply(a_ops, b_ops)
-            out.append((ops, ca * cb * phase))
-    return PauliSum(out, n=a.n)
+    return PauliSum(_term_products(a, b), n=a.n)
 
 
 def commutator_i(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -155,13 +171,7 @@ def commutator_i(a: PauliSum, b: PauliSum) -> PauliSum:
         raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
     if not (a.is_hermitian and b.is_hermitian):
         raise ValueError("commutator_i expects hermitian inputs")
-    out = []
-    for a_ops, ca in a.items():
-        for b_ops, cb in b.items():
-            phase, ops = _multiply(a_ops, b_ops)
-            if phase.imag:
-                out.append((ops, (2j * (ca * cb * phase)).real))
-    return PauliSum(out, n=a.n)
+    return PauliSum([(ops, (2j * c).real) for ops, c in _term_products(a, b, True)], n=a.n)
 
 
 def one_norm(h: PauliSum) -> float:

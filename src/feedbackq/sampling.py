@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .states import StateVector, pauli_expectation, pauli_matrix_element
+from .states import StateVector, _check_count, pauli_expectation, pauli_matrix_element
 
 _PARTS = ("real", "imag")
 
@@ -188,8 +188,9 @@ class ShotBudget:
     exact value untouched, so an exact budget never opens a stream and
     `split` returns it unchanged.  Otherwise `path` is the split history;
     `split` extends it, and `rng` opens a Philox stream keyed by
-    (seed, path).  The seed and every path entry must be non-negative
-    integers.
+    (seed, path).  Shots other than None must be a Python or numpy
+    integer >= 1 (not a bool), and the seed and every path entry
+    non-negative integers.
     """
 
     shots: int | None
@@ -198,8 +199,8 @@ class ShotBudget:
     _words: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be >= 1 or None, got {self.shots}")
+        if self.shots is not None:
+            _check_count("shots", self.shots)
         # SeedSequence's assembled entropy: the seed's words, zero-padded to
         # the pool size as numpy does once a spawn key follows, then the
         # path's words.  Without a key the padding leaves the pool as it is.

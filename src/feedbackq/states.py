@@ -5,8 +5,9 @@ is the most significant bit, so for two qubits the amplitudes are
 ordered |00>, |01>, |10>, |11>.
 
 Pauli strings never become dense matrices here.  Each string acts as an
-index permutation plus a phase: X and Y flip the targeted bits, while Z
-and Y contribute (-1) phases read off the input index.  Exponentials use
+index permutation plus a phase, read from `pauli._string_masks`: X and
+Y flip the bits of the flip mask, while Z and Y contribute (-1) phases
+read off the input index through the phase mask.  Exponentials use
 the closed form exp(-i*t*O) = cos(t)*1 - i*sin(t)*O, valid because every
 Pauli string squares to the identity.
 
@@ -15,10 +16,11 @@ one read-only `_Kernel` record, the only kind of entry in `_KERNELS`: a
 gather index (int64, 8 bytes per amplitude) and a complex128 phase
 vector (16 bytes per amplitude), the signs times 1j for an odd number
 of Y letters.  Strings with the same flip mask share one gather array,
-built by their X-only string (Y -> X, Z -> I).  Applying a string is
-one lookup, one gather and one multiply.  `KERNEL_CACHE_BYTES` bounds
-what is kept: a 10-qubit Ising run with the sum-X mixer keeps 166
-records, counted as 3360 KiB for 2560 KiB of distinct arrays.
+built by their X-only string (that flip mask, no phase bits).  Applying
+a string is one lookup, one gather and one multiply.
+`KERNEL_CACHE_BYTES` bounds what is kept: a 10-qubit Ising run with the
+sum-X mixer keeps 166 records, counted as 3360 KiB for 2560 KiB of
+distinct arrays.
 
 A `TrotterPlan` applied again at the same step folds its factors for
 that step: each factor's cosine and the exact vector -1j*sin(angle) *
@@ -39,12 +41,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import HERMITIAN_TOL, PauliSum, _check_ops
+from .pauli import HERMITIAN_TOL, PauliSum, _check_ops, _mask_string, _string_masks
 
 NORM_TOL = 1e-9
 DENSE_QUBIT_LIMIT = 12
@@ -69,24 +70,6 @@ _LANCZOS_FIRST_CHECK = 8
 _LANCZOS_MAX_GAP = 32
 _LANCZOS_MAX_STEPS = 1000
 _LANCZOS_SEED = 0x5EED
-
-
-@lru_cache(maxsize=None)
-def _string_masks(ops: str) -> Tuple[int, int, int]:
-    """(flip mask, phase mask, number of Y letters) for one Pauli string."""
-    n = len(ops)
-    xmask = 0
-    zmask = 0
-    ny = 0
-    for q, letter in enumerate(ops):
-        bit = 1 << (n - 1 - q)
-        if letter in ("X", "Y"):
-            xmask |= bit
-        if letter in ("Z", "Y"):
-            zmask |= bit
-        if letter == "Y":
-            ny += 1
-    return xmask, zmask, ny
 
 
 class _Kernel(NamedTuple):
@@ -156,8 +139,8 @@ def _build_kernel(ops: str) -> _Kernel:
     np.multiply(odd, -2.0 * sign, out=part)  # sign * (1 - 2 * odd), in place
     part += sign
     # Every string with this flip mask shares the gather of its X-only
-    # string (Y -> X, Z -> I).
-    gather = _kernel(ops.replace("Y", "X").replace("Z", "I")).gather if xmask else None
+    # string, the one with no phase bits.
+    gather = _kernel(_mask_string(len(ops), xmask, 0)).gather if xmask else None
     return _Kernel(gather, phase)
 
 

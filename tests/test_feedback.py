@@ -18,6 +18,7 @@ from feedbackq import (
     ShiftedOperator,
     ShotBudget,
     StateVector,
+    TrotterPlan,
     UnsupportedGeneratorError,
     alpha_from_bound,
     alpha_iterative,
@@ -457,6 +458,17 @@ def test_shift_and_operator_validation():
     other = build_ising(IsingSpec(2, ((0.0, 0.1), (0.1, 0.0)), (1.0, 1.0)))
     with pytest.raises(ValueError):
         run_fqae(other, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=2))
+
+
+def test_tracked_states_checked_before_the_first_layer(monkeypatch):
+    """A tracked state on the wrong qubit count is refused by name before any step runs."""
+    steps = []
+    apply = TrotterPlan.apply
+    monkeypatch.setattr(TrotterPlan, "apply", lambda *a, **k: steps.append(1) or apply(*a, **k))
+    with pytest.raises(ValueError, match="tracked state"):
+        run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=2),
+                 track_states=[BENCH_REF[1][1], StateVector.plus(3)])
+    assert steps == []
 
 
 def test_alpha_bound_is_twice_the_one_norm():

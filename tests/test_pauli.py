@@ -1,9 +1,27 @@
 """Pauli algebra against dense Kronecker oracles."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from feedbackq import PauliSum, commutator_i, format_sum, one_norm, parse_sum, product
+from feedbackq import (
+    CONTROL_KINDS,
+    H2Spec,
+    PauliSum,
+    build_h2,
+    build_ising,
+    build_mfi,
+    commutator_i,
+    format_sum,
+    one_norm,
+    parse_sum,
+    product,
+    random_ising,
+    random_mfi,
+    standard_controls,
+)
 
 from _oracles import dense_string, dense_sum, random_pauli_terms
 
@@ -155,3 +173,53 @@ def test_pauli_term_products_carry_phases():
     assert ops == "Z"
     assert coeff == pytest.approx(6.0j)
     assert np.allclose(coeff * dense_string(ops), 6.0 * dense_string("X") @ dense_string("Y"))
+
+
+def test_mask_rule_products_match_dense_for_every_string_pair():
+    """All 4**n x 4**n string pairs at n = 1..3: product's string and phase are the dense product's."""
+    for n in (1, 2, 3):
+        strings = ["".join(letters) for letters in itertools.product(LETTERS, repeat=n)]
+        dense = {ops: dense_string(ops) for ops in strings}
+        for a in strings:
+            for b in strings:
+                ((ops, phase),) = product(PauliSum([(a, 1.0)]), PauliSum([(b, 1.0)])).items()
+                assert phase in (1, -1, 1j, -1j)
+                assert np.array_equal(phase * dense[ops], dense[a] @ dense[b]), (a, b)
+
+
+def _model_drifts():
+    yield build_h2(H2Spec.from_table(1.05))
+    for n in range(2, 7):
+        for seed in (0, 1):
+            yield build_ising(random_ising(n, seed))
+            if n >= 3:  # the smallest ring
+                yield build_mfi(random_mfi(n, seed))
+
+
+def test_model_commutators_match_dense_and_keep_the_anticommuting_pairs():
+    """i[H_q, H0] for every control family on the model drifts, against the dense oracle.
+
+    Each pair of terms contributes exactly when its strings anticommute
+    densely, so the result's strings are products of anticommuting pairs.
+    """
+    dense_of = functools.lru_cache(maxsize=None)(dense_string)
+    for h0 in _model_drifts():
+        d0 = dense_sum(list(h0.items()))
+        for kind in CONTROL_KINDS:
+            for h in standard_controls(kind, h0.n):
+                got = commutator_i(h, h0)
+                dh = dense_sum(list(h.items()))
+                want = 1.0j * (dh @ d0 - d0 @ dh)
+                assert np.allclose(dense_sum(list(got.items()) or [("I" * h0.n, 0.0)]), want,
+                                   rtol=0.0, atol=1e-12)
+                kept = set()
+                for a, _ in h.items():
+                    for b, _ in h0.items():
+                        da, db = dense_of(a), dense_of(b)
+                        anti = np.array_equal(da @ db, -(db @ da))
+                        single = commutator_i(PauliSum([(a, 1.0)]), PauliSum([(b, 1.0)]))
+                        assert len(single) == anti, (a, b)
+                        if anti:
+                            kept.update(ops for ops, _ in product(PauliSum([(a, 1.0)]),
+                                                                  PauliSum([(b, 1.0)])).items())
+                assert {ops for ops, _ in got.items()} <= kept

@@ -253,10 +253,11 @@ def test_out_of_range_probability_rejected():
 
 
 def test_budget_shots_validated():
-    with pytest.raises(ValueError):
-        ShotBudget(0)
-    with pytest.raises(ValueError):
-        ShotBudget(-5)
+    # A fractional count would draw int(shots) shots but divide by shots.
+    for shots in (0, -5, 2.5, True, "100", np.float64(100.0)):
+        with pytest.raises(ValueError):
+            ShotBudget(shots)
+    assert ShotBudget(np.int64(100)).shots == 100
     for seed, path in ((-1, ()), (1.5, ()), ("7", ()), (0, (-3,)), (0, (2, 0.5)), (0, ("x",))):
         with pytest.raises(ValueError):
             ShotBudget(100, seed, path)
