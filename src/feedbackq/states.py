@@ -61,13 +61,14 @@ _ELEMENT_BLOCKS = 16
 # residual exceeds _RESIDUAL_CHECK times that.  A count-bounded spectrum
 # takes Lanczos when 2**n >= max(_LANCZOS_MIN_DIM, _LANCZOS_LEVELS_PER_PAIR
 # * count), the measured crossover with dense_eigh (README "Reference
-# spectra").
+# spectra").  A Lanczos run holds at most _LANCZOS_BASIS vectors beyond
+# the locked ones and restarts from its lowest _LANCZOS_KEEP Ritz vectors.
 _LANCZOS_TOL = 1e-13
 _RESIDUAL_CHECK = 10.0
 _LANCZOS_MIN_DIM = 512
 _LANCZOS_LEVELS_PER_PAIR = 32
-_LANCZOS_FIRST_CHECK = 8
-_LANCZOS_MAX_GAP = 32
+_LANCZOS_BASIS = 24
+_LANCZOS_KEEP = 10
 _LANCZOS_MAX_STEPS = 1000
 _LANCZOS_SEED = 0x5EED
 
@@ -506,41 +507,30 @@ def matrix_element_blocks(h: PauliSum, basis: np.ndarray) -> Iterator[Tuple[int,
         yield start, block if compiled.scale == 1 else compiled.scale * block
 
 
-def _next_check(previous: Optional[Tuple[int, float]], m: int, r: float, tol: float) -> int:
-    """Steps from a failed check at step m, residual r, to the next one.
-
-    Fits the residual's decay per step against the previous failed check
-    and lands where it should reach `tol`, within 1 to _LANCZOS_MAX_GAP
-    steps; _LANCZOS_FIRST_CHECK steps until two checks exist.
-    """
-    if previous is None:
-        return _LANCZOS_FIRST_CHECK
-    m0, r0 = previous
-    if not r < r0:  # no decay to extrapolate
-        return _LANCZOS_MAX_GAP
-    rate = math.log(r0 / r) / (m - m0)
-    return min(max(math.ceil(math.log(r / tol) / rate), 1), _LANCZOS_MAX_GAP)
-
-
 def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: float):
-    """Lowest k Ritz pairs of one Lanczos run kept orthogonal to `locked`.
+    """Lowest k <= _LANCZOS_KEEP Ritz pairs of a thick-restart Lanczos run
+    kept orthogonal to `locked`.
 
-    Full reorthogonalization: after the three-term recurrence, each new
-    vector loses its components along the locked rows and every earlier
-    basis vector.  Stops when every wanted pair's residual
-    |beta_m * s_mi| is at most `tol`, or when the Krylov space closes
-    (then fewer than k pairs may come back, none when `locked` already
-    spans the space).  The tridiagonal is solved only at checks: the
-    first at step max(k, _LANCZOS_FIRST_CHECK), each later one where the
-    residual trend predicts convergence (`_next_check`).  Ritz pairs
-    come back as rows.
+    The basis holds at most _LANCZOS_BASIS vectors after the locked rows.
+    Each step is the three-term recurrence (against the restart's Ritz
+    vectors right after a restart) plus one full reorthogonalization
+    against the locked rows and the basis.  The projected matrix,
+    tridiagonal with an arrowhead after a restart, is solved only when the
+    basis is full, when the Krylov space closes or at the step limit.  The
+    run stops when every wanted pair's residual |beta * s_mi| is at most
+    `tol`, or when the space closes (then fewer than k pairs may come
+    back, none when `locked` already spans the space).  Otherwise it
+    restarts from the lowest _LANCZOS_KEEP Ritz vectors plus the residual
+    direction (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).
+    Ritz pairs come back as rows.
     """
     dim = start.size
-    room = dim - len(locked)
-    # Rows [0, len(locked)) hold the locked vectors, the Krylov basis follows.
-    rows = np.empty((len(locked) + min(room, 256), dim), dtype=start.dtype)
-    rows[: len(locked)] = locked
     first = len(locked)
+    room = dim - first
+    size = min(room, _LANCZOS_BASIS)
+    rows = np.empty((first + size, dim), dtype=start.dtype)
+    rows[:first] = locked
+    basis = rows[first:]
     complex_rows = np.iscomplexobj(rows)
 
     def orthogonalize(w: np.ndarray, upto: int) -> None:
@@ -557,36 +547,35 @@ def _krylov_lowest(apply, k: int, locked: np.ndarray, start: np.ndarray, tol: fl
     norm = float(np.linalg.norm(v))
     if not room or norm <= tol:
         return np.empty(0), np.empty((0, dim), dtype=start.dtype)
-    v /= norm
-    alphas, betas = [], []
-    check_at = max(k, _LANCZOS_FIRST_CHECK)
-    failed = None  # (step, largest wanted residual) of the last failed check
-    for m in range(1, min(room, _LANCZOS_MAX_STEPS) + 1):
-        if first + m > len(rows):
-            grown = np.empty((2 * len(rows) - first, dim), dtype=rows.dtype)
-            grown[: len(rows)] = rows
-            rows = grown
-        rows[first + m - 1] = v
+    basis[0] = v / norm
+    t = np.zeros((size, size))
+    m = kept = 0  # basis vectors whose column of t is complete; Ritz vectors kept
+    for step in range(1, _LANCZOS_MAX_STEPS + 1):
+        v = basis[m]
         w = apply(v)
-        alpha = float(np.vdot(v, w).real)
+        t[m, m] = alpha = float(np.vdot(v, w).real)
         w -= alpha * v
-        if betas:
-            w -= betas[-1] * rows[first + m - 2]
-        orthogonalize(w, first + m)
-        alphas.append(alpha)
+        lo = m - 1 if m > kept else 0
+        w -= t[lo:m, m] @ basis[lo:m]
+        orthogonalize(w, first + m + 1)
         beta = math.sqrt(np.vdot(w, w).real)
+        m += 1
         closed = m == room or beta <= tol
-        if closed or m == _LANCZOS_MAX_STEPS or m == check_at:
-            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            theta, s = np.linalg.eigh(t)
-            residual = float(np.max(beta * np.abs(s[-1, :k])))
-            if closed or residual <= tol:
-                return theta[:k], s[:, :k].T @ rows[first : first + m]
-            check_at = m + _next_check(failed, m, residual, tol)
-            failed = (m, residual)
-        betas.append(beta)
-        w /= beta
-        v = w
+        if closed or m == size or step == _LANCZOS_MAX_STEPS:
+            theta, s = np.linalg.eigh(t[:m, :m])
+            if closed or beta * np.abs(s[-1, :k]).max() <= tol:
+                return theta[:k], s[:, :k].T @ basis[:m]
+            if step == _LANCZOS_MAX_STEPS:
+                break
+            kept = _LANCZOS_KEEP
+            basis[:kept] = s[:, :kept].T @ basis[:m]
+            t[:] = 0.0
+            t[range(kept), range(kept)] = theta[:kept]
+            t[kept, :kept] = t[:kept, kept] = beta * s[-1, :kept]
+            m = kept
+        else:
+            t[m - 1, m] = t[m, m - 1] = beta
+        basis[m] = w / beta
     raise np.linalg.LinAlgError(f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps")
 
 
@@ -596,9 +585,11 @@ def _lanczos_lowest(h: PauliSum, count: int) -> Tuple[np.ndarray, np.ndarray]:
     Runs Lanczos on the compiled sum, locks what it finds and restarts
     from a fresh vector orthogonal to the locked pairs: one Krylov run
     sees a single vector per eigenspace, so a restart finds the next copy
-    of a degenerate level.  Restarts continue until one finds nothing at
-    or below the last kept level + `DEGENERACY_TOL`, so that level is
-    separated from the next.  Starts are drawn from a fixed seed, so
+    of a degenerate level.  Restarts continue until one finds nothing
+    below the last kept level - `DEGENERACY_TOL`, so no level under it is
+    missing; a degenerate last level keeps the copies the count holds,
+    and which vectors of it come back is arbitrary.  Each run asks for at
+    most _LANCZOS_KEEP pairs.  Starts are drawn from a fixed seed, so
     repeated calls agree bit for bit.  Returns ascending eigenvalues and
     eigenvectors as rows; every pair's true residual is checked.
     """
@@ -616,9 +607,10 @@ def _lanczos_lowest(h: PauliSum, count: int) -> Tuple[np.ndarray, np.ndarray]:
         start = rng.standard_normal(dim)
         if not compiled.real:
             start = start + 1j * rng.standard_normal(dim)
-        found_values, found = _krylov_lowest(apply, max(count - len(values), 1), vectors, start, tol)
+        want = min(max(count - len(values), 1), _LANCZOS_KEEP)
+        found_values, found = _krylov_lowest(apply, want, vectors, start, tol)
         if len(values) >= count:
-            keep = found_values <= values[count - 1] + DEGENERACY_TOL
+            keep = found_values < values[count - 1] - DEGENERACY_TOL
             found_values, found = found_values[keep], found[keep]
         if not len(found_values):
             break

@@ -1,6 +1,7 @@
 """Statevector kernels against dense evolution oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,19 +272,58 @@ def test_lanczos_spectrum_repeats_bit_for_bit():
         assert np.array_equal(a.amps, b.amps)
 
 
-def test_lanczos_solves_the_tridiagonal_only_when_convergence_is_due(monkeypatch):
-    """The residual trend schedules the checks: at most 10 tridiagonal
-    eigensolves for two levels of the nine-qubit ring."""
-    solves = []
-    original = np.linalg.eigh
+def test_lanczos_projected_solves_are_few_and_small(monkeypatch):
+    """Two levels of the nine-qubit ring: at most 10 eigensolves of the
+    projected matrix, none larger than the bounded basis, and at most 160
+    matrix-vector products (Krylov steps plus the residual checks)."""
+    solves, matvecs = [], []
+    original_eigh, original_matvec = np.linalg.eigh, states.CompiledSum.matvec
 
-    def counting(a):
+    def counting_eigh(a):
         solves.append(len(a))
-        return original(a)
+        return original_eigh(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    def counting_matvec(self, v):
+        matvecs.append(v.shape)
+        return original_matvec(self, v)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(states.CompiledSum, "matvec", counting_matvec)
     reference_spectrum(MFI9, count=2)
     assert 0 < len(solves) <= 10
+    assert max(solves) <= states._LANCZOS_BASIS
+    assert len(matvecs) <= 160
+
+
+def test_lanczos_stops_at_the_first_copy_of_the_last_level(monkeypatch):
+    """X on one of nine qubits has a 256-fold level at -1: count=1 takes
+    one run and one confirming run, not one run per copy."""
+    runs = []
+    original = states._krylov_lowest
+
+    def counting(*args):
+        runs.append(args[2].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(states, "_krylov_lowest", counting)
+    ((value, vec),) = reference_spectrum(PauliSum([("X" + "I" * 8, 1.0)]), count=1)
+    assert value == pytest.approx(-1.0, abs=1e-12)
+    np.testing.assert_allclose(apply_pauli(vec, "X" + "I" * 8), -vec.amps, rtol=0, atol=1e-12)
+    assert len(runs) <= 2
+
+
+def test_lanczos_memory_is_bounded_by_the_basis():
+    """Twelve qubits, count=2: the Krylov basis is a few dozen rows, so the
+    traced peak stays below 4 MiB (one 4096-level row is 32 KiB)."""
+    h = build_mfi(random_mfi(12, 0))
+    reference_spectrum(h, count=2)  # fills the kernel cache
+    tracemalloc.start()
+    try:
+        reference_spectrum(h, count=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_spectrum_route_follows_the_size_rule(monkeypatch):
