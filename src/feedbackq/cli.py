@@ -100,6 +100,8 @@ def _load_json(path: Path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"top-level JSON value in {path} must be an object")
     return doc
@@ -335,11 +337,35 @@ def resolve_alphas(
 
 
 # ---------------------------------------------------------------------------
-# trace output
+# output files, each named `<prefix><suffix>` after the config's output prefix
+
+
+def _output(prefix: Path, suffix: str) -> Path:
+    return prefix.parent / (prefix.name + suffix)
+
+
+def _create_output_dir(prefix: Path) -> None:
+    """Create the directory the outputs of `prefix` go to, before any run.
+
+    A prefix no file can be written under is a config error, so it
+    costs no run.
+    """
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create outputs at '{prefix}': {exc}") from exc
 
 
 def _format(value: float) -> str:
     return "%.12g" % value
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_trace_csv(path: Path, trace: RunTrace, tracked: int) -> None:
@@ -348,27 +374,14 @@ def write_trace_csv(path: Path, trace: RunTrace, tracked: int) -> None:
     The column set depends only on the channel count and the number of
     tracked eigenstates.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    r = trace.controls.shape[1]
-    header = (
-        ["layer"]
-        + [f"u_{q + 1}" for q in range(r)]
-        + ["V", "energy"]
-        + [f"fid_{j}" for j in range(tracked)]
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, layer in enumerate(trace.layers):
-            row = [str(int(layer))]
-            row += [_format(trace.controls[i, q]) for q in range(r)]
-            row += [_format(trace.lyapunov[i]), _format(trace.energy[i])]
-            row += [_format(trace.fidelities[i, j]) for j in range(tracked)]
-            writer.writerow(row)
+    header = ["layer"] + [f"u_{q + 1}" for q in range(trace.controls.shape[1])] + ["V", "energy"]
+    header += [f"fid_{j}" for j in range(tracked)]
+    columns = (trace.controls, trace.lyapunov, trace.energy, trace.fidelities[:, :tracked])
+    rows = zip(trace.layers, np.column_stack(columns))
+    _write_csv(path, header, ([str(int(k))] + [_format(v) for v in row] for k, row in rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -440,46 +453,42 @@ def _run_target(
 def cmd_run(args) -> int:
     exp = Experiment(*_load_config(args))
     reference = exp.reference(exp.target + 1)
-    tracked = len(reference)
-    trace_path = exp.output.parent / (exp.output.name + "_trace.csv")
-    summary_path = exp.output.parent / (exp.output.name + "_summary.json")
+    _create_output_dir(exp.output)
+    trace_path = _output(exp.output, "_trace.csv")
+    summary_path = _output(exp.output, "_summary.json")
 
     started = time.perf_counter()
     try:
         alphas, trace = _run_target(exp, reference)
+        failure = None
     except FeedbackRunError as exc:
-        write_trace_csv(trace_path, exc.partial, tracked)
-        _write_json(
-            summary_path,
-            {
-                "error": str(exc),
-                "layers_completed": int(exc.partial.layers.size),
-                "trace": str(trace_path),
-            },
-        )
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        trace, failure = exc.partial, exc
     wall = time.perf_counter() - started
 
-    write_trace_csv(trace_path, trace, tracked)
-    summary = {
-        "model": exp.model_meta,
-        "controls": exp.control_kind,
-        "backend": exp.config.backend,
-        "shots": exp.config.budget.shots,
-        "seed": exp.seed,
-        "target": exp.target,
-        "alphas": list(map(float, alphas)),
-        "layers_completed": int(trace.layers.size),
-        "aborted_layer": trace.aborted_layer,
-        "final_energy": float(trace.energy[-1]),
-        "final_lyapunov": float(trace.lyapunov[-1]),
-        "final_fidelities": [float(f) for f in trace.fidelities[-1]],
-        "final_controls": [float(u) for u in trace.final_controls],
-        "wall_time_s": wall,
-        "trace": str(trace_path),
-    }
+    summary = {"layers_completed": int(trace.layers.size), "trace": str(trace_path)}
+    if failure is None:
+        summary.update({
+            "model": exp.model_meta,
+            "controls": exp.control_kind,
+            "backend": exp.config.backend,
+            "shots": exp.config.budget.shots,
+            "seed": exp.seed,
+            "target": exp.target,
+            "alphas": list(map(float, alphas)),
+            "aborted_layer": trace.aborted_layer,
+            "final_energy": float(trace.energy[-1]),
+            "final_lyapunov": float(trace.lyapunov[-1]),
+            "final_fidelities": [float(f) for f in trace.fidelities[-1]],
+            "final_controls": [float(u) for u in trace.final_controls],
+            "wall_time_s": wall,
+        })
+    else:
+        summary["error"] = str(failure)
+    write_trace_csv(trace_path, trace, len(reference))
     _write_json(summary_path, summary)
+    if failure is not None:
+        print(f"run failed: {failure}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"wrote {trace_path} and {summary_path}")
     return EXIT_OK
 
@@ -526,6 +535,7 @@ def cmd_spectrum(args) -> int:
     reference = exp.reference(count)
     stage_settings = _stage_overrides(exp, count)
     track = [pair[1] for pair in reference]
+    _create_output_dir(exp.output)
 
     started = time.perf_counter()
     try:
@@ -538,19 +548,14 @@ def cmd_spectrum(args) -> int:
             track_states=track,
         )
     except FeedbackRunError as exc:
-        partial_path = exp.output.parent / (exp.output.name + "_stage_partial_trace.csv")
-        write_trace_csv(partial_path, exc.partial, len(track))
+        write_trace_csv(_output(exp.output, "_stage_partial_trace.csv"), exc.partial, len(track))
         print(f"spectrum failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     wall = time.perf_counter() - started
 
     for idx, stage in enumerate(stages):
-        write_trace_csv(
-            exp.output.parent / (exp.output.name + f"_stage{idx}_trace.csv"),
-            stage.trace,
-            len(track),
-        )
-    summary_path = exp.output.parent / (exp.output.name + "_spectrum.json")
+        write_trace_csv(_output(exp.output, f"_stage{idx}_trace.csv"), stage.trace, len(track))
+    summary_path = _output(exp.output, "_spectrum.json")
     _write_json(
         summary_path,
         {
@@ -574,6 +579,7 @@ def cmd_spectrum(args) -> int:
 
 # Sweep axes, each rewriting one model field, with the field and its type.
 SWEEP_AXES = {"R": ("R", float), "n": ("n", int), "seed": ("instance_seed", int)}
+SWEEP_COLUMNS = ["axis", "value", "instances", "dt", "mean_fidelity", "fidelity_se", "mean_energy"]
 
 
 def _check_retired_keys(doc: dict, sweep: dict) -> None:
@@ -669,29 +675,12 @@ def _sweep_point(payload: dict) -> dict:
         fids = np.array([t.fidelities[-1, 0] for t in traces])
         energies = np.array([t.energy[-1] for t in traces])
         se = float(fids.std(ddof=1) / math.sqrt(len(fids))) if len(fids) > 1 else 0.0
-        return {
-            "axis": axis,
-            "value": value,
-            "instances": len(traces),
-            "dt": dt,
-            "mean_fidelity": float(fids.mean()),
-            "fidelity_se": se,
-            "mean_energy": float(energies.mean()),
-        }
+        values = (axis, value, len(traces), dt, float(fids.mean()), se, float(energies.mean()))
+        return dict(zip(SWEEP_COLUMNS, values))
     except (ConfigError, RuntimeError) as exc:  # a failed point must not sink the sweep
-        return {
-            "axis": axis,
-            "value": value,
-            "instances": 0,
-            "dt": float("nan"),
-            "mean_fidelity": float("nan"),
-            "fidelity_se": float("nan"),
-            "mean_energy": float("nan"),
-            "error": str(exc),
-        }
-
-
-SWEEP_COLUMNS = ["axis", "value", "instances", "dt", "mean_fidelity", "fidelity_se", "mean_energy"]
+        row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
+        row.update(axis=axis, value=value, instances=0, error=str(exc))
+        return row
 
 
 def cmd_sweep(args) -> int:
@@ -711,6 +700,7 @@ def cmd_sweep(args) -> int:
             raise
 
     out = Path(_field(doc, "output", "", str, DEFAULT_OUTPUT))
+    _create_output_dir(out)
     started = time.perf_counter()
     # The pool starts every worker at once, so it never gets more than points.
     workers = min(args.jobs, len(payloads))
@@ -725,24 +715,18 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(p) for p in payloads]
     wall = time.perf_counter() - started
 
-    csv_path = out.parent / (out.name + "_sweep.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["axis"]]
-                + [
-                    _format(row[c]) if isinstance(row[c], float) else str(row[c])
-                    for c in SWEEP_COLUMNS[1:]
-                ]
-            )
+    csv_path = _output(out, "_sweep.csv")
+    _write_csv(
+        csv_path,
+        SWEEP_COLUMNS,
+        ([_format(row[c]) if isinstance(row[c], float) else str(row[c]) for c in SWEEP_COLUMNS]
+         for row in rows),
+    )
     failures = [row for row in rows if "error" in row]
     for row in failures:
         print(f"point {row['value']} failed: {row['error']}", file=sys.stderr)
     _write_json(
-        out.parent / (out.name + "_sweep.json"),
+        _output(out, "_sweep.json"),
         {
             "axis": axis,
             "rows": rows,
@@ -758,21 +742,24 @@ def cmd_sweep(args) -> int:
 # validate
 
 
-def _distinct_gaps(eigenvalues: np.ndarray) -> Tuple[bool, int]:
-    """Whether all pairwise eigenvalue differences are distinct."""
+def _gap_clashes(eigenvalues: np.ndarray) -> int:
+    """How many sorted pairwise eigenvalue differences coincide with the next one."""
     diffs = np.sort(np.concatenate([eigenvalues[i + 1:] - e for i, e in enumerate(eigenvalues)]))
-    clashes = int(np.sum(np.diff(diffs) < DEGENERACY_TOL)) if len(diffs) > 1 else 0
-    return clashes == 0, clashes
+    return int(np.sum(np.diff(diffs) < DEGENERACY_TOL)) if len(diffs) > 1 else 0
 
 
 def cmd_validate(args) -> int:
     exp = Experiment(*_load_config(args))
     if exp.n > DENSE_QUBIT_LIMIT:
         raise ConfigError(f"validate needs a dense spectrum; {exp.n} qubits exceeds the limit")
+    target = exp.target
+    alphas = resolve_alphas(exp.doc, exp.h0, target) if target else []
+    _create_output_dir(exp.output)
 
     eigenvalues, vectors = dense_eigh(exp.h0)
 
-    assumption1, gap_clashes = _distinct_gaps(eigenvalues)
+    gap_clashes = _gap_clashes(eigenvalues)
+    assumption1 = gap_clashes == 0
 
     channel_reports = []
     for idx, h_ctrl in enumerate(exp.controls):
@@ -791,8 +778,6 @@ def cmd_validate(args) -> int:
         )
     assumption2 = all(c["fully_connected"] for c in channel_reports)
 
-    target = exp.target
-    alphas = resolve_alphas(exp.doc, exp.h0, target) if target else []
     # Each shifted state is a drift eigenvector, so P is diagonal in the
     # drift eigenbasis: its spectrum is the drift's with alpha_k added to E_k.
     p_eigenvalues = eigenvalues.copy()
@@ -823,7 +808,7 @@ def cmd_validate(args) -> int:
         "alpha_sufficiency": sufficiency,
         "note": "informational only; violations do not block runs",
     }
-    out = exp.output.parent / (exp.output.name + "_validate.json")
+    out = _output(exp.output, "_validate.json")
     _write_json(out, report)
 
     print(f"assumption 1 (distinct drift gaps): {'holds' if assumption1 else 'violated'}")
@@ -857,8 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Feedback-grown quantum circuits for eigenstate preparation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, help_text in (
+        ("run", cmd_run, "single feedback run"),
+        ("spectrum", cmd_spectrum, "deflation through the lowest eigenstates"),
+        ("sweep", cmd_sweep, "axis sweep with per-point aggregates"),
+        ("validate", cmd_validate, "report convergence assumptions"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", help="output path prefix (sets 'output')")
         p.add_argument("--seed", type=int, help="master seed (sets 'seed')")
@@ -868,25 +859,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--exact", action="store_true", help="exact expectation values (clears 'feedback.shots')"
         )
 
-    p_run = sub.add_parser("run", help="single feedback run")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_spec = sub.add_parser("spectrum", help="deflation through the lowest eigenstates")
-    common(p_spec)
-    p_spec.add_argument("--count", type=int, help="number of eigenstates (sets 'count')")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_sweep = sub.add_parser("sweep", help="axis sweep with per-point aggregates")
-    common(p_sweep)
-    p_sweep.add_argument("--axis", choices=tuple(SWEEP_AXES), help="sweep axis (sets 'sweep.axis')")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="report convergence assumptions")
-    common(p_val)
-    p_val.set_defaults(func=cmd_validate)
-
+    spectrum, sweep = sub.choices["spectrum"], sub.choices["sweep"]
+    spectrum.add_argument("--count", type=int, help="number of eigenstates (sets 'count')")
+    sweep.add_argument("--axis", choices=tuple(SWEEP_AXES), help="sweep axis (sets 'sweep.axis')")
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     return parser
 
 

@@ -387,7 +387,8 @@ class FeedbackConfig:
     dt and the per-channel gains set the layer unitaries and the control
     law; depth is the layer count.  backend selects the controller
     estimator; budget parameterizes it, and `exact` is the overlap
-    route at the exact budget.  Every run starts from zero controls.
+    route at the exact budget, which replaces any budget it is given.
+    Every run starts from zero controls.
     The remaining fields are diagnostics: trotter_slices subdivides each
     first-order step (default one slice per layer), and abort_on_increase
     cuts a run short the moment the Lyapunov value rises by more than the
@@ -411,6 +412,8 @@ class FeedbackConfig:
         _check_count("depth", self.depth)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.backend == "exact":
+            object.__setattr__(self, "budget", EXACT)
         _check_count("trotter_slices", self.trotter_slices)
         if self.abort_on_increase is not None and math.isnan(self.abort_on_increase):
             raise ValueError("abort_on_increase must be a number or None, got nan")
@@ -487,7 +490,7 @@ def run_fqae(
         raise ValueError("tracked state qubit count does not match the drift")
 
     backend = config.backend
-    budget = EXACT if backend == "exact" else config.budget
+    budget = config.budget
     slices = config.trotter_slices
     drift_plan = TrotterPlan.from_sum(h0, config.dt)
     ctrl_plans = [TrotterPlan.from_sum(h, config.dt) for h in h_ctrls]

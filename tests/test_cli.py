@@ -84,6 +84,11 @@ def test_run_writes_trace_and_summary(tmp_path):
     assert summary["final_lyapunov"] == pytest.approx(v_col[-1])
     assert len(summary["final_fidelities"]) == 2
     assert summary["wall_time_s"] >= 0.0
+    assert set(summary) == {
+        "model", "controls", "backend", "shots", "seed", "target", "alphas", "layers_completed",
+        "aborted_layer", "final_energy", "final_lyapunov", "final_fidelities", "final_controls",
+        "wall_time_s", "trace",
+    }
 
 
 def test_trace_values_carry_twelve_significant_digits(tmp_path):
@@ -127,6 +132,10 @@ def test_exact_override_removes_shot_noise(tmp_path):
     exact_doc = bench_doc(feedback={"dt": 0.08, "gains": [1.5, 1.5], "depth": 25})
     cfg2 = write_doc(tmp_path, exact_doc, name="exact.json")
     assert main(["run", "--config", cfg2, "--out", str(tmp_path / "ref")]) == EXIT_OK
+    # the exact backend runs at the exact budget whatever shot count it is given
+    assert main(["run", "--config", cfg2, "--out", str(tmp_path / "x"), "--shots", "50"]) == EXIT_OK
+    assert json.loads((tmp_path / "x_summary.json").read_text())["shots"] is None
+    assert (tmp_path / "x_trace.csv").read_bytes() == (tmp_path / "ref_trace.csv").read_bytes()
 
     clean = read_rows(tmp_path / "clean_trace.csv")
     ref = read_rows(tmp_path / "ref_trace.csv")
@@ -149,6 +158,13 @@ def test_config_rejection_paths(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["run", "--config", str(garbled)]) == EXIT_CONFIG
+
+    # a directory and a file that is not UTF-8 are unreadable configs
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"seed": "\xe9"}')
+    for unreadable in (tmp_path, latin1):
+        assert main(["run", "--config", str(unreadable)]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
 
     unknown = write_doc(tmp_path, bench_doc(model={"family": "heisenberg"}), "m.json")
     assert main(["run", "--config", unknown]) == EXIT_CONFIG
@@ -338,6 +354,25 @@ def test_non_number_field_is_a_config_error(tmp_path, capsys, command, key, doc)
     assert not list(tmp_path.glob("bad_*"))
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("run", bench_doc()),
+    ("spectrum", bench_doc(count=2)),
+    ("sweep", ising_sweep_doc("seed", [0, 1])),
+    ("validate", bench_doc()),
+])
+def test_unwritable_output_prefix_is_a_config_error(tmp_path, capsys, monkeypatch, command, doc):
+    """A prefix under a regular file exits 2 before any run, not with a traceback after it."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("feedbackq.cli.run_fqae", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_doc(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(blocker / "x")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_runtime_failure_flushes_partial_trace(tmp_path):
     doc = bench_doc(
         target=0,
@@ -355,6 +390,7 @@ def test_runtime_failure_flushes_partial_trace(tmp_path):
     summary = json.loads((tmp_path / "partial_summary.json").read_text())
     assert "error" in summary
     assert summary["layers_completed"] == 1
+    assert set(summary) == {"error", "layers_completed", "trace"}
 
 
 def test_failed_alpha_search_exits_with_a_summary(tmp_path, capsys):
