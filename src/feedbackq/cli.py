@@ -27,6 +27,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -340,6 +341,16 @@ def resolve_alphas(
 # output files, each named `<prefix><suffix>` after the config's output prefix
 
 
+def _output_prefix(doc: dict) -> Path:
+    """The config's output prefix.  One that ends in a path separator names
+    a directory, not a file prefix, and `Path` would drop the separator."""
+    prefix = _field(doc, "output", "", str, DEFAULT_OUTPUT)
+    if prefix.endswith(tuple(sep for sep in (os.sep, os.altsep) if sep)):
+        raise ConfigError(f"output prefix '{prefix}' ends in a path separator; "
+                          f"add a file name prefix, such as '{prefix}run'")
+    return Path(prefix)
+
+
 def _output(prefix: Path, suffix: str) -> Path:
     return prefix.parent / (prefix.name + suffix)
 
@@ -407,7 +418,7 @@ class Experiment:
         if self.target >= 2 ** self.n:
             raise ConfigError(f"'target' must be below 2**n = {2 ** self.n}, got {self.target}")
         self.psi0 = parse_initial_state(_field(doc, "initial_state", "", str, "plus"), self.n)
-        self.output = Path(_field(doc, "output", "", str, DEFAULT_OUTPUT))
+        self.output = _output_prefix(doc)
 
     def reference(self, count: int) -> List[Tuple[float, StateVector]]:
         try:
@@ -699,7 +710,7 @@ def cmd_sweep(args) -> int:
         if axis != "R" or not isinstance(exc.__cause__, RowNotTabulatedError):
             raise
 
-    out = Path(_field(doc, "output", "", str, DEFAULT_OUTPUT))
+    out = _output_prefix(doc)
     _create_output_dir(out)
     started = time.perf_counter()
     # The pool starts every worker at once, so it never gets more than points.

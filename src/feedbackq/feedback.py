@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +79,30 @@ class Shift:
             raise ValueError(f"shift weight must be positive, got {self.alpha}")
 
 
+class _TermTable(NamedTuple):
+    """What a sampled estimate of <h> reads from a hermitian sum h.
+
+    `terms` holds (stream key, string) for each non-identity string, the
+    key being the string's position in h; `coeffs` their real
+    coefficients in the same order; `identity` the identity coefficient,
+    which is added classically.
+    """
+
+    terms: Tuple[Tuple[int, str], ...]
+    coeffs: Tuple[float, ...]
+    identity: float
+
+
+def _term_table(h: PauliSum) -> _TermTable:
+    ident = "I" * h.n
+    rows = [(k, ops, c.real) for k, (ops, c) in enumerate(h.items()) if ops != ident]
+    return _TermTable(
+        tuple((k, ops) for k, ops, _ in rows),
+        tuple(c for _, _, c in rows),
+        h.identity_coefficient.real,
+    )
+
+
 class ShiftedOperator:
     """P = H0 + sum_j alpha_j |q_j><q_j|, kept in factored form.
 
@@ -86,7 +110,7 @@ class ShiftedOperator:
     works from the drift sum plus the stored reference states.
     """
 
-    __slots__ = ("h0", "shifts")
+    __slots__ = ("h0", "shifts", "_h0_table")
 
     def __init__(self, h0: PauliSum, shifts: Sequence[Shift] = ()):
         if not h0.is_hermitian:
@@ -96,10 +120,17 @@ class ShiftedOperator:
                 raise ValueError("shift state qubit count does not match the drift")
         self.h0 = h0
         self.shifts = tuple(shifts)
+        self._h0_table: Optional[_TermTable] = None
 
     @property
     def alphas(self) -> Tuple[float, ...]:
         return tuple(s.alpha for s in self.shifts)
+
+    def _h0_terms(self) -> _TermTable:
+        """H0's term table, built on the first sampled estimate of V."""
+        if self._h0_table is None:
+            self._h0_table = _term_table(self.h0)
+        return self._h0_table
 
 
 def lyapunov_value(state: StateVector, p_op: ShiftedOperator) -> float:
@@ -165,6 +196,14 @@ def _assemble(comm_value: float, pieces: Sequence[Tuple[float, complex, complex]
     return -gain * total
 
 
+def _sampled_sum(state: StateVector, table: _TermTable, budget: ShotBudget) -> float:
+    """<h> from one estimate per term of h's table, summed in term order."""
+    total = table.identity
+    for coeff, estimate in zip(table.coeffs, sample_pauli_expectations(state, table.terms, budget)):
+        total += coeff * estimate
+    return total
+
+
 def _controller_from_pieces(
     state: StateVector,
     comm: PauliSum,
@@ -172,12 +211,14 @@ def _controller_from_pieces(
     p_op: ShiftedOperator,
     gain: float,
     budget: ShotBudget,
+    comm_table: Optional[_TermTable] = None,
 ) -> float:
     """Shared evaluation path for the exact and overlap/Hadamard backends.
 
     At an exact budget the commutator value is one `expectation` call;
     a sampled budget estimates it term by term, term k on the stream
-    `budget.split("comm", k)`.  The overlaps always flow through the
+    `budget.split("comm", k)`, from `comm_table` (`_term_table(comm)`,
+    built here when not given).  The overlaps always flow through the
     sampling layer, whose exact sentinel returns the underlying value
     untouched, so an exact budget makes this function exact linear
     algebra.
@@ -185,13 +226,9 @@ def _controller_from_pieces(
     if budget.exact:
         comm_value = expectation(state, comm)
     else:
-        terms = list(comm.items())
-        estimates = sample_pauli_expectations(
-            state, [(k, ops) for k, (ops, _) in enumerate(terms)], budget.split("comm")
-        )
-        comm_value = 0.0
-        for (_, coeff), estimate in zip(terms, estimates):
-            comm_value += coeff.real * estimate
+        if comm_table is None:
+            comm_table = _term_table(comm)
+        comm_value = _sampled_sum(state, comm_table, budget.split("comm"))
     pieces = []
     for j, shift in enumerate(p_op.shifts):
         w = 0j
@@ -233,14 +270,7 @@ def _sampled_lyapunov(state: StateVector, p_op: ShiftedOperator, budget: ShotBud
     The identity coefficient of H0 is a classical constant and is added
     exactly; everything else is one sampled scalar per term or shift.
     """
-    ident = "I" * state.n
-    terms = [(k, ops, c.real) for k, (ops, c) in enumerate(p_op.h0.items()) if ops != ident]
-    estimates = sample_pauli_expectations(
-        state, [(k, ops) for k, ops, _ in terms], budget.split(tag, "h0")
-    )
-    total = p_op.h0.identity_coefficient.real
-    for (_, _, coeff), estimate in zip(terms, estimates):
-        total += coeff * estimate
+    total = _sampled_sum(state, p_op._h0_terms(), budget.split(tag, "h0"))
     for j, shift in enumerate(p_op.shifts):
         overlap_sq = min(fidelity(shift.state, state), 1.0)
         total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(tag, "shift", j))
@@ -508,7 +538,9 @@ def run_fqae(
     def bind(q: int) -> Callable[[StateVector, ShotBudget], float]:
         h_ctrl, gain = h_ctrls[q], config.gains[q]
         if overlap:
-            return lambda state, b: _controller_from_pieces(state, comms[q], h_ctrl, p_op, gain, b)
+            comm = comms[q]
+            table = None if budget.exact else _term_table(comm)
+            return lambda state, b: _controller_from_pieces(state, comm, h_ctrl, p_op, gain, b, table)
         if backend == "grad_fd":
             return lambda state, b: controller_grad_fd(
                 state, h_ctrl, p_op, gain, config.dt, budget=b, slices=slices

@@ -12,7 +12,10 @@ Philox generator of numpy's SeedSequence for the seed with the path as
 its spawn key; the budget keeps that sequence's entropy words, so a
 draw never rebuilds them.  An estimator with one stream per term keys
 all of them in one array pass from their common prefix
-(`ShotBudget.split_binomials`); the draws equal per-split draws.
+(`ShotBudget.split_binomials`); the draws equal per-split draws.  The
+run-invariant work of that path is done once: each measured string is
+checked once per process, and each key list is validated and mixed
+once per entropy length.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .pauli import _check_ops
 from .states import StateVector, _check_count, pauli_expectation, pauli_matrix_element
 
 _PARTS = ("real", "imag")
@@ -33,6 +37,8 @@ _PARTS = ("real", "imag")
 # mixes entropy words into the pool, and the hash `generate_state` runs
 # over the pool.
 _POOL_SIZE = 4
+# numpy's binomial takes counts below 2**63 (a C long); more fails mid-draw.
+_SHOTS_LIMIT = 1 << 63
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _MIX_MULT_L = 0xCA01F9DD
@@ -101,6 +107,7 @@ def _hash_steps(const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B)
+_STATE_CONSTS = tuple(_STATE_STEPS[0].tolist() + _STATE_STEPS[1].tolist())
 
 
 @lru_cache(maxsize=64)
@@ -127,6 +134,37 @@ def _philox_keys(pools: np.ndarray) -> List[List[int]]:
     return words.astype("<u4", copy=False).view("<u8").tolist()
 
 
+def _philox_key(pool: np.ndarray) -> List[int]:
+    """`_philox_keys` of one pool, in Python ints: cheaper than a one-row array pass."""
+    p0, p1, p2, p3 = pool.tolist()
+    x0, x1, x2, x3, m0, m1, m2, m3 = _STATE_CONSTS
+    w0, w1 = (p0 ^ x0) * m0 & _MASK32, (p1 ^ x1) * m1 & _MASK32
+    w2, w3 = (p2 ^ x2) * m2 & _MASK32, (p3 ^ x3) * m3 & _MASK32
+    return [w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32]
+
+
+def _check_batch_keys(keys: Sequence) -> None:
+    for k in keys:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= _MASK32:
+            raise ValueError(f"batched split keys must be integers in [0, 2**32), got {k!r}")
+
+
+@lru_cache(maxsize=256)
+def _key_mix(length: int, keys: Tuple, types: Tuple[type, ...]) -> np.ndarray:
+    """The key-dependent half of `_child_pools`, once `_check_batch_keys` accepts the keys.
+
+    `types` is part of the cache key only: True == 1 == 1.0 hash alike,
+    and each must be validated as itself.
+    """
+    _check_batch_keys(keys)
+    xor, mult = _mix_steps(length)
+    mixed = (np.array(keys, dtype=np.uint32)[:, None] ^ xor) * mult
+    mixed ^= mixed >> 16
+    mixed *= _MIX_MULT_R
+    mixed.flags.writeable = False
+    return mixed
+
+
 def _child_pools(pool: np.ndarray, length: int, keys: Sequence[int]) -> np.ndarray:
     """Pools of the SeedSequences that extend `length` words of entropy by one key each.
 
@@ -134,12 +172,17 @@ def _child_pools(pool: np.ndarray, length: int, keys: Sequence[int]) -> np.ndarr
     entropy word past the pool size into each pool word in turn,
     pool[i] = mix(pool[i], hashmix(word)), advancing the hash constant
     once per pool word.  Every key is one word at the same position, so
-    all children share those constants.  Returns one pool per row.
+    all children share those constants, and the keys' half of the mix is
+    kept per (length, keys).  Returns one pool per row.  Raises
+    ValueError for a key that is not one entropy word.
     """
-    xor, mult = _mix_steps(length)
-    mixed = (np.array(keys, dtype=np.uint32)[:, None] ^ xor) * mult
-    mixed ^= mixed >> 16
-    pools = pool * _MIX_MULT_L - mixed * _MIX_MULT_R
+    keys = tuple(keys)
+    try:
+        mixed = _key_mix(length, keys, tuple(map(type, keys)))
+    except TypeError:  # an unhashable key, never a valid one
+        _check_batch_keys(keys)
+        raise
+    pools = pool * _MIX_MULT_L - mixed
     pools ^= pools >> 16
     return pools
 
@@ -189,8 +232,8 @@ class ShotBudget:
     `split` returns it unchanged.  Otherwise `path` is the split history;
     `split` extends it, and `rng` opens a Philox stream keyed by
     (seed, path).  Shots other than None must be a Python or numpy
-    integer >= 1 (not a bool), and the seed and every path entry
-    non-negative integers.
+    integer in [1, 2**63) (not a bool), and the seed and every path
+    entry non-negative integers.
     """
 
     shots: int | None
@@ -201,6 +244,8 @@ class ShotBudget:
     def __post_init__(self) -> None:
         if self.shots is not None:
             _check_count("shots", self.shots)
+            if self.shots >= _SHOTS_LIMIT:
+                raise ValueError(f"shots must be below 2**63, got {self.shots}")
         # SeedSequence's assembled entropy: the seed's words, zero-padded to
         # the pool size as numpy does once a spawn key follows, then the
         # path's words.  Without a key the padding leaves the pool as it is.
@@ -234,8 +279,7 @@ class ShotBudget:
 
     def binomial(self, p: float) -> int:
         """One binomial(shots, p) draw, equal to `self.rng().binomial(self.shots, p)`."""
-        keys = _philox_keys(self._seed_sequence().pool[None, :])
-        return _binomials(self.shots, keys, (p,))[0]
+        return _binomials(self.shots, [_philox_key(self._seed_sequence().pool)], (p,))[0]
 
     def split_binomials(self, keys: Sequence[int], probs: Sequence[float]) -> List[int]:
         """`[self.split(k).binomial(p) for k, p in zip(keys, probs)]`, keyed in one pass.
@@ -244,9 +288,6 @@ class ShotBudget:
         in array arithmetic instead of one SeedSequence per child.  Each
         key must be an integer in [0, 2**32), which is one entropy word.
         """
-        for k in keys:
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= _MASK32:
-                raise ValueError(f"batched split keys must be integers in [0, 2**32), got {k!r}")
         pools = _child_pools(self._seed_sequence().pool, len(self._words), keys)
         return _binomials(self.shots, _philox_keys(pools), probs)
 
@@ -284,6 +325,12 @@ def _refuse_identity(ops: str) -> None:
         raise ValueError("identity strings are not measured; fold them in classically")
 
 
+# Strings that passed `_refuse_identity` and `_check_ops`.  A string is
+# checked once per process; the set is emptied when it reaches the limit.
+_MEASURABLE: set = set()
+_MEASURABLE_LIMIT = 1 << 16
+
+
 def sample_pauli_expectation(state: StateVector, ops: str, budget: ShotBudget) -> float:
     """Finite-shot estimate of <psi|O|psi> for a non-identity string O."""
     _refuse_identity(ops)
@@ -299,11 +346,19 @@ def sample_pauli_expectations(
     """`sample_pauli_expectation(state, ops, budget.split(k))` for each (k, ops) in terms.
 
     The terms' streams are keyed in one pass (`split_binomials`), so each
-    k must be an integer in [0, 2**32).  Identity strings are refused as
-    in `sample_pauli_expectation`, before any value is computed.
+    k must be an integer in [0, 2**32).  Identity, empty and malformed
+    strings are refused as in `sample_pauli_expectation`, before any
+    value is computed; a string that passed is not checked again.
     """
-    for _, ops in terms:
-        _refuse_identity(ops)
+    unchecked = [ops for _, ops in terms if ops not in _MEASURABLE]
+    if unchecked:
+        for ops in unchecked:  # identities first, then empty and malformed strings
+            _refuse_identity(ops)
+        for ops in unchecked:
+            _check_ops(ops)
+        if len(_MEASURABLE) >= _MEASURABLE_LIMIT:
+            _MEASURABLE.clear()
+        _MEASURABLE.update(unchecked)
     values = [pauli_expectation(state, ops) for _, ops in terms]
     if budget.exact:
         return values

@@ -361,7 +361,12 @@ def test_non_number_field_is_a_config_error(tmp_path, capsys, command, key, doc)
     ("validate", bench_doc()),
 ])
 def test_unwritable_output_prefix_is_a_config_error(tmp_path, capsys, monkeypatch, command, doc):
-    """A prefix under a regular file exits 2 before any run, not with a traceback after it."""
+    """A prefix under a regular file exits 2 before any run, not with a traceback after it.
+
+    So does a prefix ending in a path separator, from --out or from the
+    config, which would otherwise lose the separator and write beside
+    the directory it names.
+    """
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
@@ -371,6 +376,26 @@ def test_unwritable_output_prefix_is_a_config_error(tmp_path, capsys, monkeypatc
     cfg = write_doc(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(blocker / "x")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+    outdir = str(tmp_path / "outdir") + os.sep
+    in_config = write_doc(tmp_path, dict(doc, output=outdir), "slash.json")
+    for argv in (["--config", cfg, "--out", outdir], ["--config", in_config]):
+        assert main([command, *argv]) == EXIT_CONFIG
+        assert "ends in a path separator" in capsys.readouterr().err
+    assert not list(tmp_path.glob("outdir*"))
+
+
+def test_shot_count_past_numpy_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """numpy draws fewer than 2**63 shots: more exits 2 before any run, not 1 at layer 1."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("feedbackq.cli.run_fqae", no_run)
+    cfg = str(CONFIG_DIR / "ising_41_shots.json")
+    out = str(tmp_path / "big")
+    assert main(["run", "--config", cfg, "--out", out, "--shots", str(10**20)]) == EXIT_CONFIG
+    assert "shots must be below 2**63" in capsys.readouterr().err
+    assert not list(tmp_path.glob("big*"))
 
 
 def test_runtime_failure_flushes_partial_trace(tmp_path):

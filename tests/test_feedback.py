@@ -342,6 +342,138 @@ def test_sampled_runs_draw_per_term_streams(backend, monkeypatch):
     assert np.count_nonzero(batched.controls) > 0
 
 
+SAMPLED_BACKENDS = ("overlap_hadamard", "grad_fd", "grad_psr")
+
+
+@pytest.mark.parametrize("backend", SAMPLED_BACKENDS)
+def test_sampled_runs_check_strings_and_keys_once(backend, monkeypatch):
+    """A run checks each measured string and validates each key list once, not per layer.
+
+    The checks are counted from empty caches at depth 4 and at depth 8:
+    the deeper run measures the same sums, so it makes as many checks.
+    """
+    from feedbackq import sampling
+
+    counts = {"strings": 0, "key_lists": 0}
+    refuse, check_keys = sampling._refuse_identity, sampling._check_batch_keys
+
+    def counted_refuse(ops):
+        counts["strings"] += 1
+        return refuse(ops)
+
+    def counted_keys(keys):
+        counts["key_lists"] += 1
+        return check_keys(keys)
+
+    monkeypatch.setattr(sampling, "_refuse_identity", counted_refuse)
+    monkeypatch.setattr(sampling, "_check_batch_keys", counted_keys)
+    h0 = build_ising(random_ising(3, 0))
+    ground = reference_spectrum(h0, count=1)[0]
+    seen = []
+    for depth in (4, 8):
+        monkeypatch.setattr(sampling, "_MEASURABLE", set())
+        sampling._key_mix.cache_clear()
+        counts.update(strings=0, key_lists=0)
+        p_op = ShiftedOperator(h0, [Shift(4.0, ground[1], ground[0])])
+        cfg = FeedbackConfig(dt=0.05, gains=(1.0,) * 3, depth=depth, backend=backend,
+                             budget=ShotBudget(200, seed=derive_seed(9, "shots")))
+        run_fqae(h0, standard_controls("y_per_qubit", 3), p_op, StateVector.plus(3), cfg)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["strings"] > 0 and seen[0]["key_lists"] > 0
+
+
+def _per_split_estimates(state, terms, budget):
+    """`sample_pauli_expectations` as one split and one single estimate per term."""
+    return [sample_pauli_expectation(state, ops, budget.split(k)) for k, ops in terms]
+
+
+def _random_drift(rng, n, count):
+    """A random hermitian sum with an X string and an identity term."""
+    terms = dict(random_pauli_terms(rng, n, count))
+    terms["X" + "I" * (n - 1)] = float(rng.uniform(-2.0, 2.0))
+    terms["I" * n] = float(rng.uniform(-2.0, 2.0))
+    return PauliSum(list(terms.items()))
+
+
+def _two_level_controls(rng, n, channels):
+    """Channels c*O + d*I with O a random non-identity string: two-level, as grad_psr needs."""
+    ctrls = []
+    for _ in range(channels):
+        ops = "I" * n
+        while ops == "I" * n:
+            ops = "".join(rng.choice(list("IXYZ"), size=n))
+        ctrls.append(PauliSum([(ops, float(rng.uniform(0.5, 2.0))),
+                               ("I" * n, float(rng.uniform(-1.0, 1.0)))]))
+    return ctrls
+
+
+def _random_shifts(rng, n, count):
+    return [Shift(float(rng.uniform(0.5, 5.0)), StateVector.from_amplitudes(random_state(rng, n)), 0.0)
+            for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(1, 4),
+    drift_terms=st.integers(1, 8),
+    channels=st.integers(1, 2),
+    shifts=st.integers(0, 2),
+    backend=st.sampled_from(SAMPLED_BACKENDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_runs_match_per_split_streams(n, drift_terms, channels, shifts, backend, seed):
+    """On random non-diagonal sums, a sampled run draws what one split per term draws.
+
+    Controls and V are bit-identical to the run whose term estimates go
+    through one `split(k)` and `sample_pauli_expectation` each, with the
+    drift's term table shared by both runs.
+    """
+    from feedbackq import feedback
+
+    rng = np.random.default_rng(seed)
+    h0 = _random_drift(rng, n, drift_terms)
+    ctrls = _two_level_controls(rng, n, channels)
+    p_op = ShiftedOperator(h0, _random_shifts(rng, n, shifts))
+    psi0 = StateVector.from_amplitudes(random_state(rng, n))
+    cfg = FeedbackConfig(dt=float(rng.uniform(0.02, 0.2)), gains=(1.0,) * channels, depth=3,
+                         backend=backend, budget=ShotBudget(int(rng.integers(1, 500)), seed=seed))
+    batched = run_fqae(h0, ctrls, p_op, psi0, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feedback, "sample_pauli_expectations", _per_split_estimates)
+        reference = run_fqae(h0, ctrls, p_op, psi0, cfg)
+    assert batched.depth == reference.depth == 3
+    assert np.array_equal(batched.controls, reference.controls)
+    assert batched.final_controls == reference.final_controls
+    assert np.array_equal(batched.lyapunov, reference.lyapunov)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    n=st.integers(1, 4),
+    drift_terms=st.integers(1, 8),
+    shifts=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_controllers_match_dense_law(n, drift_terms, shifts, seed):
+    """At an exact budget both gradient backends give the dense law on random sums.
+
+    The drift is non-diagonal with an identity term, which V adds as a
+    constant, and the control carries an identity term, which the
+    parameter shift strips.
+    """
+    rng = np.random.default_rng(seed)
+    h0 = _random_drift(rng, n, drift_terms)
+    (h_ctrl,) = _two_level_controls(rng, n, 1)
+    p_op = ShiftedOperator(h0, _random_shifts(rng, n, shifts))
+    state = StateVector.from_amplitudes(random_state(rng, n))
+    gain, dt = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.02, 0.5))
+    shift_amps = [(s.alpha, s.state.amps) for s in p_op.shifts]
+    want = dense_controller(state.amps, h_ctrl.items(), h0.items(), shift_amps, gain)
+    assert controller_grad_psr(state, h_ctrl, p_op, gain, dt) == pytest.approx(want, rel=0, abs=1e-9)
+    assert controller_grad_fd(state, h_ctrl, p_op, gain, dt) == pytest.approx(want, rel=0, abs=1e-6)
+
+
 @pytest.mark.parametrize("backend", ["overlap_hadamard", "grad_fd", "grad_psr"])
 def test_exact_budget_seed_does_not_matter(backend):
     """An exact budget never opens a stream, whatever its seed."""

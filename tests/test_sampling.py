@@ -124,7 +124,12 @@ def test_split_binomials_match_per_split_draws(seed, prefix, shots, draws):
 
 def test_split_binomials_refuse_keys_past_one_word():
     budget = ShotBudget(10, seed=1).split("comm")
-    for key in (2**32, 2**64 - 1, -1, True, "0", 1.0):
+    for key in (2**32, 2**64 - 1, -1, True, "0", 1.0, [1]):
+        with pytest.raises(ValueError):
+            budget.split_binomials([0, key], [0.5, 0.5])
+    # Validated key lists are kept, but True and 1.0 equal and hash as 1.
+    assert len(budget.split_binomials([0, 1], [0.5, 0.5])) == 2
+    for key in (True, 1.0):
         with pytest.raises(ValueError):
             budget.split_binomials([0, key], [0.5, 0.5])
 
@@ -258,6 +263,11 @@ def test_budget_shots_validated():
         with pytest.raises(ValueError):
             ShotBudget(shots)
     assert ShotBudget(np.int64(100)).shots == 100
+    # numpy's binomial takes counts below 2**63; a larger budget would fail mid-run.
+    for shots in (2**63, np.uint64(2**63), 10**20):
+        with pytest.raises(ValueError, match="below 2"):
+            ShotBudget(shots)
+    assert ShotBudget(2**63 - 1).shots == 2**63 - 1
     for seed, path in ((-1, ()), (1.5, ()), ("7", ()), (0, (-3,)), (0, (2, 0.5)), (0, ("x",))):
         with pytest.raises(ValueError):
             ShotBudget(100, seed, path)
