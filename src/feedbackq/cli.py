@@ -42,6 +42,8 @@ from .feedback import (
     RunTrace,
     Shift,
     ShiftedOperator,
+    UnsupportedGeneratorError,
+    _two_level_split,
     alpha_from_bound,
     alpha_iterative,
     deflate_spectrum,
@@ -412,6 +414,14 @@ class Experiment:
         self.n = self.h0.n
         self.controls, self.control_kind = parse_controls(doc, self.n)
         self.config = parse_feedback(_field(doc, "feedback", "", dict), len(self.controls), self.seed)
+        if self.config.backend == "grad_psr":
+            for q, h in enumerate(self.controls):
+                try:
+                    _two_level_split(h)
+                except UnsupportedGeneratorError as exc:
+                    raise ConfigError(
+                        f"grad_psr cannot drive control channel {q} ({h}): {exc}"
+                    ) from exc
         self.target = _field(doc, "target", "", int, 0)
         if self.target < 0:
             raise ConfigError("'target' must be a non-negative eigenstate index")

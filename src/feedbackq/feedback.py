@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from .pauli import PauliSum, commutator_i, one_norm, product
 from .sampling import (
     EXACT,
     ShotBudget,
+    TermTable,
     sample_hadamard_test,
-    sample_pauli_expectations,
+    sample_sum,
     sample_zero_fraction,
 )
 from .states import (
@@ -75,32 +76,8 @@ class Shift:
     energy: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"shift weight must be positive, got {self.alpha}")
-
-
-class _TermTable(NamedTuple):
-    """What a sampled estimate of <h> reads from a hermitian sum h.
-
-    `terms` holds (stream key, string) for each non-identity string, the
-    key being the string's position in h; `coeffs` their real
-    coefficients in the same order; `identity` the identity coefficient,
-    which is added classically.
-    """
-
-    terms: Tuple[Tuple[int, str], ...]
-    coeffs: Tuple[float, ...]
-    identity: float
-
-
-def _term_table(h: PauliSum) -> _TermTable:
-    ident = "I" * h.n
-    rows = [(k, ops, c.real) for k, (ops, c) in enumerate(h.items()) if ops != ident]
-    return _TermTable(
-        tuple((k, ops) for k, ops, _ in rows),
-        tuple(c for _, _, c in rows),
-        h.identity_coefficient.real,
-    )
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"shift weight must be positive and finite, got {self.alpha}")
 
 
 class ShiftedOperator:
@@ -120,16 +97,16 @@ class ShiftedOperator:
                 raise ValueError("shift state qubit count does not match the drift")
         self.h0 = h0
         self.shifts = tuple(shifts)
-        self._h0_table: Optional[_TermTable] = None
+        self._h0_table: Optional[TermTable] = None
 
     @property
     def alphas(self) -> Tuple[float, ...]:
         return tuple(s.alpha for s in self.shifts)
 
-    def _h0_terms(self) -> _TermTable:
+    def _h0_terms(self) -> TermTable:
         """H0's term table, built on the first sampled estimate of V."""
         if self._h0_table is None:
-            self._h0_table = _term_table(self.h0)
+            self._h0_table = TermTable(self.h0)
         return self._h0_table
 
 
@@ -163,8 +140,8 @@ def alpha_iterative(
     and its final state never changes (a start on a known lower
     eigenstate does this).
     """
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not 0 < alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     alpha = float(alpha0)
     idle = False
     for _ in range(max_doublings + 1):
@@ -196,39 +173,28 @@ def _assemble(comm_value: float, pieces: Sequence[Tuple[float, complex, complex]
     return -gain * total
 
 
-def _sampled_sum(state: StateVector, table: _TermTable, budget: ShotBudget) -> float:
-    """<h> from one estimate per term of h's table, summed in term order."""
-    total = table.identity
-    for coeff, estimate in zip(table.coeffs, sample_pauli_expectations(state, table.terms, budget)):
-        total += coeff * estimate
-    return total
-
-
 def _controller_from_pieces(
     state: StateVector,
-    comm: PauliSum,
+    comm: TermTable,
     h_ctrl: PauliSum,
     p_op: ShiftedOperator,
     gain: float,
     budget: ShotBudget,
-    comm_table: Optional[_TermTable] = None,
 ) -> float:
     """Shared evaluation path for the exact and overlap/Hadamard backends.
 
-    At an exact budget the commutator value is one `expectation` call;
-    a sampled budget estimates it term by term, term k on the stream
-    `budget.split("comm", k)`, from `comm_table` (`_term_table(comm)`,
-    built here when not given).  The overlaps always flow through the
+    `comm` is the term table of i[H_q, H0].  At an exact budget the
+    commutator value is one `expectation` call on its sum; a sampled
+    budget estimates it term by term, term k on the stream
+    `budget.split("comm", k)`.  The overlaps always flow through the
     sampling layer, whose exact sentinel returns the underlying value
     untouched, so an exact budget makes this function exact linear
     algebra.
     """
     if budget.exact:
-        comm_value = expectation(state, comm)
+        comm_value = expectation(state, comm.sum)
     else:
-        if comm_table is None:
-            comm_table = _term_table(comm)
-        comm_value = _sampled_sum(state, comm_table, budget.split("comm"))
+        comm_value = sample_sum(state, comm, budget.split("comm"))
     pieces = []
     for j, shift in enumerate(p_op.shifts):
         w = 0j
@@ -260,7 +226,7 @@ def controller_overlap_sampled(
     """
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
-    comm = commutator_i(h_ctrl, p_op.h0)
+    comm = TermTable(commutator_i(h_ctrl, p_op.h0))
     return _controller_from_pieces(state, comm, h_ctrl, p_op, gain, budget)
 
 
@@ -270,7 +236,7 @@ def _sampled_lyapunov(state: StateVector, p_op: ShiftedOperator, budget: ShotBud
     The identity coefficient of H0 is a classical constant and is added
     exactly; everything else is one sampled scalar per term or shift.
     """
-    total = _sampled_sum(state, p_op._h0_terms(), budget.split(tag, "h0"))
+    total = sample_sum(state, p_op._h0_terms(), budget.split(tag, "h0"))
     for j, shift in enumerate(p_op.shifts):
         overlap_sq = min(fidelity(shift.state, state), 1.0)
         total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(tag, "shift", j))
@@ -538,9 +504,8 @@ def run_fqae(
     def bind(q: int) -> Callable[[StateVector, ShotBudget], float]:
         h_ctrl, gain = h_ctrls[q], config.gains[q]
         if overlap:
-            comm = comms[q]
-            table = None if budget.exact else _term_table(comm)
-            return lambda state, b: _controller_from_pieces(state, comm, h_ctrl, p_op, gain, b, table)
+            table = TermTable(comms[q])
+            return lambda state, b: _controller_from_pieces(state, table, h_ctrl, p_op, gain, b)
         if backend == "grad_fd":
             return lambda state, b: controller_grad_fd(
                 state, h_ctrl, p_op, gain, config.dt, budget=b, slices=slices

@@ -16,6 +16,7 @@ lexicographically with I < X < Y < Z (plain string order does this).
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 from typing import Iterable, Iterator, Tuple
 
@@ -92,6 +93,11 @@ class PauliSum:
             coeffs[ops] = coeffs.get(ops, 0j) + c
         if n is None:
             raise ValueError("empty PauliSum needs an explicit qubit count n")
+        # A sum of coefficients is finite only when each one is, and NaN
+        # would otherwise be pruned (`abs(nan) > PRUNE_TOL` is false).
+        if not all(map(cmath.isfinite, coeffs.values())):
+            ops = next(ops for ops, c in coeffs.items() if not cmath.isfinite(c))
+            raise ValueError(f"coefficient of {ops} is not finite: {coeffs[ops]}")
         self._n = int(n)
         self._coeffs = {
             ops: c for ops, c in sorted(coeffs.items()) if abs(c) > PRUNE_TOL

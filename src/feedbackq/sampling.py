@@ -12,10 +12,10 @@ Philox generator of numpy's SeedSequence for the seed with the path as
 its spawn key; the budget keeps that sequence's entropy words, so a
 draw never rebuilds them.  An estimator with one stream per term keys
 all of them in one array pass from their common prefix
-(`ShotBudget.split_binomials`); the draws equal per-split draws.  The
-run-invariant work of that path is done once: each measured string is
-checked once per process, and each key list is validated and mixed
-once per entropy length.
+(`ShotBudget.split_binomials`); the draws equal per-split draws.  A
+sampled sum reads a `TermTable`, built once from a `PauliSum`: its
+strings were checked when the sum was built, and it mixes its stream
+keys once per entropy length.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import _check_ops
+from .pauli import PauliSum
 from .states import StateVector, _check_count, pauli_expectation, pauli_matrix_element
 
 _PARTS = ("real", "imag")
@@ -149,42 +149,13 @@ def _check_batch_keys(keys: Sequence) -> None:
             raise ValueError(f"batched split keys must be integers in [0, 2**32), got {k!r}")
 
 
-@lru_cache(maxsize=256)
-def _key_mix(length: int, keys: Tuple, types: Tuple[type, ...]) -> np.ndarray:
-    """The key-dependent half of `_child_pools`, once `_check_batch_keys` accepts the keys.
-
-    `types` is part of the cache key only: True == 1 == 1.0 hash alike,
-    and each must be validated as itself.
-    """
-    _check_batch_keys(keys)
+def _key_mix(length: int, keys: Sequence[int]) -> np.ndarray:
+    """The keys' half of `ShotBudget._child_binomials`, for keys `_check_batch_keys` accepts."""
     xor, mult = _mix_steps(length)
     mixed = (np.array(keys, dtype=np.uint32)[:, None] ^ xor) * mult
     mixed ^= mixed >> 16
     mixed *= _MIX_MULT_R
-    mixed.flags.writeable = False
     return mixed
-
-
-def _child_pools(pool: np.ndarray, length: int, keys: Sequence[int]) -> np.ndarray:
-    """Pools of the SeedSequences that extend `length` words of entropy by one key each.
-
-    `pool` is the pool those `length` words give.  SeedSequence mixes an
-    entropy word past the pool size into each pool word in turn,
-    pool[i] = mix(pool[i], hashmix(word)), advancing the hash constant
-    once per pool word.  Every key is one word at the same position, so
-    all children share those constants, and the keys' half of the mix is
-    kept per (length, keys).  Returns one pool per row.  Raises
-    ValueError for a key that is not one entropy word.
-    """
-    keys = tuple(keys)
-    try:
-        mixed = _key_mix(length, keys, tuple(map(type, keys)))
-    except TypeError:  # an unhashable key, never a valid one
-        _check_batch_keys(keys)
-        raise
-    pools = pool * _MIX_MULT_L - mixed
-    pools ^= pools >> 16
-    return pools
 
 
 @lru_cache(maxsize=1)
@@ -286,9 +257,23 @@ class ShotBudget:
 
         The children's pools and Philox keys come from this budget's pool
         in array arithmetic instead of one SeedSequence per child.  Each
-        key must be an integer in [0, 2**32), which is one entropy word.
+        key must be an integer in [0, 2**32), which is one entropy word;
+        the keys are checked on every call.
         """
-        pools = _child_pools(self._seed_sequence().pool, len(self._words), keys)
+        _check_batch_keys(keys)
+        return self._child_binomials(_key_mix(len(self._words), keys), probs)
+
+    def _child_binomials(self, mixed: np.ndarray, probs: Sequence[float]) -> List[int]:
+        """`split_binomials` for the keys whose `_key_mix` at this entropy length is `mixed`.
+
+        SeedSequence mixes an entropy word past the pool size into each
+        pool word in turn, pool[i] = mix(pool[i], hashmix(word)), advancing
+        the hash constant once per pool word.  Every key is one word at
+        the same position, so all children share those constants, and
+        `mixed` holds the keys' half of the mix, one row per child.
+        """
+        pools = self._seed_sequence().pool * _MIX_MULT_L - mixed
+        pools ^= pools >> 16
         return _binomials(self.shots, _philox_keys(pools), probs)
 
 
@@ -325,12 +310,6 @@ def _refuse_identity(ops: str) -> None:
         raise ValueError("identity strings are not measured; fold them in classically")
 
 
-# Strings that passed `_refuse_identity` and `_check_ops`.  A string is
-# checked once per process; the set is emptied when it reaches the limit.
-_MEASURABLE: set = set()
-_MEASURABLE_LIMIT = 1 << 16
-
-
 def sample_pauli_expectation(state: StateVector, ops: str, budget: ShotBudget) -> float:
     """Finite-shot estimate of <psi|O|psi> for a non-identity string O."""
     _refuse_identity(ops)
@@ -340,31 +319,54 @@ def sample_pauli_expectation(state: StateVector, ops: str, budget: ShotBudget) -
     return _sample_pm1(value, budget)
 
 
-def sample_pauli_expectations(
-    state: StateVector, terms: Sequence[Tuple[int, str]], budget: ShotBudget
-) -> List[float]:
-    """`sample_pauli_expectation(state, ops, budget.split(k))` for each (k, ops) in terms.
+class TermTable:
+    """What an estimate of <h> reads from a hermitian sum h, built once per sum.
 
-    The terms' streams are keyed in one pass (`split_binomials`), so each
-    k must be an integer in [0, 2**32).  Identity, empty and malformed
-    strings are refused as in `sample_pauli_expectation`, before any
-    value is computed; a string that passed is not checked again.
+    `strings` are h's non-identity strings in canonical order, which the
+    `PauliSum` constructor has checked; `keys` their stream keys, their
+    positions in h; `coeffs` their real coefficients; `identity` the
+    identity coefficient, which is added classically; `sum` is h.  The
+    keys' half of the stream mix depends only on the budget's entropy
+    length, so the table keeps one per length.
     """
-    unchecked = [ops for _, ops in terms if ops not in _MEASURABLE]
-    if unchecked:
-        for ops in unchecked:  # identities first, then empty and malformed strings
-            _refuse_identity(ops)
-        for ops in unchecked:
-            _check_ops(ops)
-        if len(_MEASURABLE) >= _MEASURABLE_LIMIT:
-            _MEASURABLE.clear()
-        _MEASURABLE.update(unchecked)
-    values = [pauli_expectation(state, ops) for _, ops in terms]
-    if budget.exact:
-        return values
-    probs = [_pm1_probability(v) for v in values]
-    hits = budget.split_binomials([k for k, _ in terms], probs)
-    return [_pm1_mean(h, budget.shots) for h in hits]
+
+    __slots__ = ("sum", "strings", "keys", "coeffs", "identity", "_mixes")
+
+    def __init__(self, h: PauliSum):
+        if not h.is_hermitian:
+            raise ValueError("a term table needs a hermitian sum")
+        ident = "I" * h.n
+        rows = [(k, ops, c.real) for k, (ops, c) in enumerate(h.items()) if ops != ident]
+        self.sum = h
+        self.keys = tuple(k for k, _, _ in rows)
+        self.strings = tuple(ops for _, ops, _ in rows)
+        self.coeffs = tuple(c for _, _, c in rows)
+        self.identity = h.identity_coefficient.real
+        self._mixes: dict = {}
+
+    def key_mix(self, length: int) -> np.ndarray:
+        mixed = self._mixes.get(length)
+        if mixed is None:
+            mixed = self._mixes[length] = _key_mix(length, self.keys)
+        return mixed
+
+
+def sample_sum(state: StateVector, table: TermTable, budget: ShotBudget) -> float:
+    """<h> for h = `table.sum`, summed in term order after the identity coefficient.
+
+    Each term's value is `sample_pauli_expectation(state, ops,
+    budget.split(k))` for its string and key, the streams keyed in one
+    pass; an exact budget gives <h> itself.
+    """
+    values = [pauli_expectation(state, ops) for ops in table.strings]
+    if not budget.exact:
+        probs = [_pm1_probability(v) for v in values]
+        hits = budget._child_binomials(table.key_mix(len(budget._words)), probs)
+        values = [_pm1_mean(h, budget.shots) for h in hits]
+    total = table.identity
+    for coeff, value in zip(table.coeffs, values):
+        total += coeff * value
+    return total
 
 
 def sample_hadamard_test(

@@ -398,11 +398,42 @@ def test_shot_count_past_numpy_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("big*"))
 
 
+@pytest.mark.parametrize("coeff", ["nan", "inf"])
+def test_non_finite_pauli_coefficient_is_a_config_error(tmp_path, capsys, coeff):
+    """A NaN term is not silently pruned and an infinite one does not fail mid-run."""
+    model = {"family": "pauli", "terms": f"{coeff}*ZI +1.0*IZ +0.5*ZZ"}
+    cfg = write_doc(tmp_path, bench_doc(model=model, target=0))
+    out = str(tmp_path / "bad")
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "coefficient of ZI is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad*"))
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", ising_sweep_doc("seed", [0])),
+    ("spectrum", dict(ising_sweep_doc("seed", [0]), count=2)),
+    ("validate", ising_sweep_doc("seed", [0])),
+    ("sweep", ising_sweep_doc("seed", [0, 1])),
+])
+def test_grad_psr_needs_two_level_channels(tmp_path, capsys, monkeypatch, command, doc):
+    """grad_psr on a channel without a +/-lambda spectrum exits 2 before any run."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("feedbackq.cli.run_fqae", no_run)
+    doc["feedback"].update(backend="grad_psr", shots=100)
+    cfg = write_doc(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "psr")]) == EXIT_CONFIG
+    assert "grad_psr cannot drive control channel 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("psr*"))
+
+
 def test_runtime_failure_flushes_partial_trace(tmp_path):
+    # A finite gain whose control overflows to inf fails at layer 1.
     doc = bench_doc(
         target=0,
         controls="global_xyz",
-        feedback={"dt": 0.08, "gains": [1.0, 1.0, 1.0], "depth": 30, "backend": "grad_psr"},
+        feedback={"dt": 0.08, "gains": [1e308, 1e308, 1e308], "depth": 30},
     )
     doc.pop("alpha")
     cfg = write_doc(tmp_path, doc)
@@ -415,6 +446,7 @@ def test_runtime_failure_flushes_partial_trace(tmp_path):
     summary = json.loads((tmp_path / "partial_summary.json").read_text())
     assert "error" in summary
     assert summary["layers_completed"] == 1
+    assert "is not finite" in summary["error"]
     assert set(summary) == {"error", "layers_completed", "trace"}
 
 

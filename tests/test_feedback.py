@@ -42,7 +42,7 @@ from feedbackq import (
 )
 from feedbackq.feedback import AlphaSearchError, _assemble, _controller_from_pieces
 from feedbackq.pauli import HERMITIAN_TOL, commutator_i
-from feedbackq.sampling import sample_hadamard_test, sample_pauli_expectation
+from feedbackq.sampling import TermTable, sample_hadamard_test, sample_pauli_expectation, sample_sum
 
 from _oracles import dense_controller, random_pauli_terms, random_state
 
@@ -207,7 +207,7 @@ def test_exact_commutator_route(n, drift_terms, ctrl_terms, shifts, kind, tilt, 
     if tilt != "none" and len(comm):
         comm = _tilted(list(comm.items()), rng, tilt)
     assert comm.is_hermitian
-    got = _controller_from_pieces(state, comm, h_ctrl, p_op, gain, EXACT)
+    got = _controller_from_pieces(state, TermTable(comm), h_ctrl, p_op, gain, EXACT)
     loop = _per_term_controller(state, comm, h_ctrl, p_op, gain)
     if tilt == "none":
         assert np.float64(got).tobytes() == np.float64(loop).tobytes()
@@ -330,11 +330,7 @@ def test_sampled_runs_draw_per_term_streams(backend, monkeypatch):
         return run_fqae(h0, standard_controls("y_per_qubit", 3), p_op, StateVector.plus(3), cfg)
 
     batched = run()
-
-    def term_by_term(state, terms, budget):
-        return [sample_pauli_expectation(state, ops, budget.split(k)) for k, ops in terms]
-
-    monkeypatch.setattr(feedback, "sample_pauli_expectations", term_by_term)
+    monkeypatch.setattr(feedback, "sample_sum", _per_split_sum)
     reference = run()
     assert batched.depth == reference.depth == 8
     assert np.array_equal(batched.controls, reference.controls)
@@ -347,45 +343,49 @@ SAMPLED_BACKENDS = ("overlap_hadamard", "grad_fd", "grad_psr")
 
 @pytest.mark.parametrize("backend", SAMPLED_BACKENDS)
 def test_sampled_runs_check_strings_and_keys_once(backend, monkeypatch):
-    """A run checks each measured string and validates each key list once, not per layer.
+    """A sampled run checks no string and no key list; each table mixes its keys once.
 
-    The checks are counted from empty caches at depth 4 and at depth 8:
-    the deeper run measures the same sums, so it makes as many checks.
+    The strings were checked when their sums were built and the keys are
+    the terms' positions, so the table route calls neither check.  Key
+    mixes are counted at depth 4 and at depth 8 from fresh tables: one
+    per table and entropy length, however many layers run.
     """
     from feedbackq import sampling
 
-    counts = {"strings": 0, "key_lists": 0}
-    refuse, check_keys = sampling._refuse_identity, sampling._check_batch_keys
+    counts = {"strings": 0, "key_lists": 0, "mixes": 0}
+    refuse, check_keys, key_mix = sampling._refuse_identity, sampling._check_batch_keys, sampling._key_mix
 
-    def counted_refuse(ops):
-        counts["strings"] += 1
-        return refuse(ops)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_keys(keys):
-        counts["key_lists"] += 1
-        return check_keys(keys)
-
-    monkeypatch.setattr(sampling, "_refuse_identity", counted_refuse)
-    monkeypatch.setattr(sampling, "_check_batch_keys", counted_keys)
+    monkeypatch.setattr(sampling, "_refuse_identity", counted("strings", refuse))
+    monkeypatch.setattr(sampling, "_check_batch_keys", counted("key_lists", check_keys))
+    monkeypatch.setattr(sampling, "_key_mix", counted("mixes", key_mix))
     h0 = build_ising(random_ising(3, 0))
     ground = reference_spectrum(h0, count=1)[0]
     seen = []
     for depth in (4, 8):
-        monkeypatch.setattr(sampling, "_MEASURABLE", set())
-        sampling._key_mix.cache_clear()
-        counts.update(strings=0, key_lists=0)
+        counts.update(strings=0, key_lists=0, mixes=0)
         p_op = ShiftedOperator(h0, [Shift(4.0, ground[1], ground[0])])
         cfg = FeedbackConfig(dt=0.05, gains=(1.0,) * 3, depth=depth, backend=backend,
                              budget=ShotBudget(200, seed=derive_seed(9, "shots")))
         run_fqae(h0, standard_controls("y_per_qubit", 3), p_op, StateVector.plus(3), cfg)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["strings"] > 0 and seen[0]["key_lists"] > 0
+    assert seen[0]["strings"] == seen[0]["key_lists"] == 0
+    # One table per channel's commutator on the overlap route, the drift's on the others.
+    assert seen[0]["mixes"] == (3 if backend == "overlap_hadamard" else 1)
 
 
-def _per_split_estimates(state, terms, budget):
-    """`sample_pauli_expectations` as one split and one single estimate per term."""
-    return [sample_pauli_expectation(state, ops, budget.split(k)) for k, ops in terms]
+def _per_split_sum(state, table, budget):
+    """`sample_sum` as one split and one single estimate per term."""
+    total = table.identity
+    for k, ops, coeff in zip(table.keys, table.strings, table.coeffs):
+        total += coeff * sample_pauli_expectation(state, ops, budget.split(k))
+    return total
 
 
 def _random_drift(rng, n, count):
@@ -440,12 +440,50 @@ def test_sampled_runs_match_per_split_streams(n, drift_terms, channels, shifts, 
                          backend=backend, budget=ShotBudget(int(rng.integers(1, 500)), seed=seed))
     batched = run_fqae(h0, ctrls, p_op, psi0, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feedback, "sample_pauli_expectations", _per_split_estimates)
+        mp.setattr(feedback, "sample_sum", _per_split_sum)
         reference = run_fqae(h0, ctrls, p_op, psi0, cfg)
     assert batched.depth == reference.depth == 3
     assert np.array_equal(batched.controls, reference.controls)
     assert batched.final_controls == reference.final_controls
     assert np.array_equal(batched.lyapunov, reference.lyapunov)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    n=st.integers(1, 4),
+    drift_terms=st.integers(1, 8),
+    identity=st.booleans(),
+    shots=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_term_table_reads_its_sum(n, drift_terms, identity, shots, seed):
+    """A table holds a sum's non-identity terms, keyed by position, and estimates <h> from them.
+
+    At an exact budget the estimate is <h>; at a finite one it is the
+    identity coefficient plus each term's single estimate on `split(k)`,
+    bit for bit, on budgets of two entropy lengths in turn.
+    """
+    rng = np.random.default_rng(seed)
+    h = _random_drift(rng, n, drift_terms)
+    ident = "I" * n
+    if not identity:
+        h = PauliSum([(ops, c) for ops, c in h.items() if ops != ident], n=n)
+    table = TermTable(h)
+    rows = [(k, ops, c.real) for k, (ops, c) in enumerate(h.items()) if ops != ident]
+    assert list(zip(table.keys, table.strings, table.coeffs)) == rows
+    assert list(table.strings) == sorted(table.strings) and ident not in table.strings
+    assert table.identity == h.identity_coefficient.real and table.sum is h
+    state = StateVector.from_amplitudes(random_state(rng, n))
+    assert sample_sum(state, table, EXACT) == pytest.approx(expectation(state, h), rel=0, abs=1e-12)
+    root = ShotBudget(shots, seed)
+    budgets = [root.split(int(rng.integers(0, 2**32)), "h0"), root.split("comm", 2**40)]
+    for budget in budgets + budgets:
+        want = table.identity
+        for k, (ops, c) in enumerate(h.items()):
+            if ops != ident:
+                want += c.real * sample_pauli_expectation(state, ops, budget.split(k))
+        got = sample_sum(state, table, budget)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -582,8 +620,8 @@ def test_config_refuses_non_integer_counts():
 
 
 def test_shift_and_operator_validation():
-    for alpha in (0.0, math.nan):
-        with pytest.raises(ValueError):
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
             Shift(alpha, BENCH_REF[0][1], -2.5)
     with pytest.raises(ValueError):
         ShiftedOperator(BENCH, [Shift(1.0, StateVector.plus(3), 0.0)])
@@ -616,8 +654,10 @@ def test_alpha_iterative_doubles_until_accepted():
 
     assert alpha_iterative(fake_run, 0.5, lambda a: a < 3.0) == 4.0
     assert seen == [0.5, 1.0, 2.0, 4.0]
-    with pytest.raises(ValueError):
-        alpha_iterative(fake_run, 0.0, lambda a: False)
+    for alpha0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            alpha_iterative(fake_run, alpha0, lambda a: False)
+    assert seen == [0.5, 1.0, 2.0, 4.0]
     seen.clear()
     with pytest.raises(AlphaSearchError) as failed:
         alpha_iterative(fake_run, 1.0, lambda a: True, max_doublings=3)

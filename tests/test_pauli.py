@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ def test_canonicalization_merges_and_prunes():
     assert len(s) == 1
     assert s.coefficient("ZI") == 2.0
     assert s.coefficient("XY") == 0.0
+
+
+def test_non_finite_coefficients_rejected():
+    """NaN is not pruned as a small coefficient, and no infinity enters a sum."""
+    for c in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="coefficient of ZI is not finite"):
+            PauliSum([("IZ", 1.0), ("ZI", c)])
+    with pytest.raises(ValueError, match="not finite"):
+        PauliSum([("X", math.inf), ("X", -math.inf)])
+    with pytest.raises(ValueError, match="not finite"):
+        parse_sum("nan*ZI +1.0*IZ")
 
 
 def test_term_order_is_lexicographic():

@@ -1,7 +1,5 @@
 """Shot-noise estimators: determinism, unbiasedness, and scaling."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +7,7 @@ from hypothesis import strategies as st
 
 from feedbackq import (
     EXACT,
+    PauliSum,
     ShotBudget,
     StateVector,
     derive_seed,
@@ -17,7 +16,7 @@ from feedbackq import (
     sample_pauli_expectation,
     sample_zero_fraction,
 )
-from feedbackq.sampling import sample_pauli_expectations
+from feedbackq.sampling import TermTable, sample_sum
 
 from _oracles import dense_string, philox_stream, random_state, seed_sequence
 
@@ -240,14 +239,27 @@ def test_zero_fraction_estimates_probability():
 
 
 def test_identity_expectation_rejected():
-    """Identity, empty and malformed strings all raise, sampled or exact, alone or batched."""
+    """Identity, empty and malformed strings all raise, sampled or exact; none reaches a table.
+
+    A table's identity term is a constant, never a measured string, and
+    `PauliSum` refuses the empty and malformed strings a table could read.
+    """
     state = StateVector.plus(2)
     for ops in ("II", "", "IQ"):
         for budget in (EXACT, ShotBudget(10)):
-            with pytest.raises(ValueError) as single:
+            with pytest.raises(ValueError):
                 sample_pauli_expectation(state, ops, budget)
-            with pytest.raises(ValueError, match=re.escape(str(single.value))):
-                sample_pauli_expectations(state, [(0, "XZ"), (1, ops)], budget)
+    table = TermTable(PauliSum([("II", 0.5), ("XZ", 1.0)]))
+    assert table.strings == ("XZ",) and table.keys == (1,) and table.identity == 0.5
+    for budget in (EXACT, ShotBudget(10)):
+        want = 0.5 + sample_pauli_expectation(state, "XZ", budget.split(1))
+        assert sample_sum(state, table, budget) == want
+    assert sample_sum(state, TermTable(PauliSum([("II", 0.5)])), ShotBudget(10)) == 0.5
+    with pytest.raises(ValueError, match="hermitian"):
+        TermTable(PauliSum([("XZ", 1j)]))
+    for ops, message in (("", "at least one qubit"), ("IQ", "invalid Pauli letters")):
+        with pytest.raises(ValueError, match=message):
+            PauliSum([("XZ", 1.0), (ops, 1.0)])
 
 
 def test_out_of_range_probability_rejected():
