@@ -50,6 +50,11 @@ CONTROL_BOUND_SLACK = 1e-9
 DEFLATION_WARN_FIDELITY = 0.5
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class UnsupportedGeneratorError(ValueError):
     """The control Hamiltonian does not admit the parameter-shift rule."""
 
@@ -76,8 +81,7 @@ class Shift:
     energy: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"shift weight must be positive and finite, got {self.alpha}")
+        _check_positive("shift weight", self.alpha)
 
 
 class ShiftedOperator:
@@ -140,8 +144,7 @@ def alpha_iterative(
     and its final state never changes (a start on a known lower
     eigenstate does this).
     """
-    if not 0 < alpha0 < math.inf:
-        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+    _check_positive("alpha0", alpha0)
     alpha = float(alpha0)
     idle = False
     for _ in range(max_doublings + 1):
@@ -224,8 +227,7 @@ def controller_overlap_sampled(
     exact budget gives the exact law, which is what the `exact` backend
     computes.
     """
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    _check_positive("gain", gain)
     comm = TermTable(commutator_i(h_ctrl, p_op.h0))
     return _controller_from_pieces(state, comm, h_ctrl, p_op, gain, budget)
 
@@ -259,8 +261,8 @@ def controller_grad_fd(
     just-applied layer.  epsilon is 1e-5 at an exact budget and 1e-3
     at a sampled one, where shot noise swamps a smaller difference.
     """
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    _check_positive("gain", gain)
+    _check_positive("dt", dt)
     epsilon = 1e-5 if budget.exact else 1e-3
     plan = TrotterPlan.from_sum(h_ctrl, dt)
     plus = plan.apply(state, scale=epsilon, slices=slices)
@@ -275,17 +277,26 @@ def _two_level_split(h_ctrl: PauliSum) -> Tuple[float, PauliSum]:
 
     An identity component only contributes a global phase to the control
     unitary, so it is stripped before squaring; the remainder must square
-    to lambda**2 times the identity.
+    to lambda**2 times the identity.  One string c*P squares to c**2 * I
+    because P**2 = I, so its lambda is read off c; two or more strings
+    are squared, since commuting pairs may cancel (XI + IX + ZZ + YY
+    squares to 4 I) where no pairwise test would see it.
     """
-    ident = "I" * h_ctrl.n
-    stripped = PauliSum([(ops, c) for ops, c in h_ctrl.items() if ops != ident], n=h_ctrl.n)
+    stripped = h_ctrl
+    if h_ctrl.identity_coefficient:
+        ident = "I" * h_ctrl.n
+        stripped = PauliSum([(ops, c) for ops, c in h_ctrl.items() if ops != ident], n=h_ctrl.n)
     if len(stripped) == 0:
         raise UnsupportedGeneratorError(
             "control Hamiltonian is a multiple of the identity; use controller_grad_fd"
         )
-    square = product(stripped, stripped)
-    lam_sq = square.identity_coefficient.real
-    if one_norm(square) > 1e-10 or lam_sq <= 0:
+    if len(stripped) == 1:
+        ((_, c),) = stripped.items()
+        lam_sq, residual = (c * c).real, 0.0
+    else:
+        square = product(stripped, stripped)
+        lam_sq, residual = square.identity_coefficient.real, one_norm(square)
+    if residual > 1e-10 or lam_sq <= 0:
         raise UnsupportedGeneratorError(
             "control Hamiltonian does not have a two-point spectrum +/-lambda; "
             "use controller_grad_fd instead"
@@ -316,8 +327,8 @@ def controller_grad_psr(
     -K*lambda*(V(u+s) - V(u-s)), which reproduces the exact commutator
     law for any dt.
     """
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    _check_positive("gain", gain)
+    _check_positive("dt", dt)
     lam, stripped = _two_level_split(h_ctrl)
     shift = math.pi / (4.0 * lam * dt)
     prefactor = -gain * lam
@@ -347,8 +358,7 @@ def controller_diagonal_fastpath(
     <M_j Y_j> expectations reduce to 2*Im(conj(psi_a)*psi_b) over the two
     amplitudes adjacent to the reference bitstring on qubit j.
     """
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    _check_positive("gain", gain)
     if not h0.is_diagonal:
         raise ValueError("fast path requires a diagonal drift (I/Z letters only)")
     n = state.n
@@ -401,8 +411,7 @@ class FeedbackConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check_positive("dt", self.dt)
         if not self.gains or not all(0 < g < math.inf for g in self.gains):
             raise ValueError("gains must be a non-empty list of positive finite reals")
         _check_count("depth", self.depth)

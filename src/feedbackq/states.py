@@ -65,7 +65,7 @@ _ELEMENT_BLOCKS = 16
 # the locked ones and restarts from its lowest _LANCZOS_KEEP Ritz vectors.
 _LANCZOS_TOL = 1e-13
 _RESIDUAL_CHECK = 10.0
-_LANCZOS_MIN_DIM = 512
+_LANCZOS_MIN_DIM = 256
 _LANCZOS_LEVELS_PER_PAIR = 32
 _LANCZOS_BASIS = 24
 _LANCZOS_KEEP = 10
@@ -635,7 +635,7 @@ def reference_spectrum(h: PauliSum, count: int | None = None) -> List[Tuple[floa
     Diagonal sums (I/Z letters only) sort their dense diagonal and emit
     basis-state eigenvectors, which scales to n <= 26 when `count` bounds
     how many pairs are materialized.  Other sums take a matrix-free
-    Lanczos solve (no qubit limit) when 2**n >= max(512, 32 * count), and
+    Lanczos solve (no qubit limit) when 2**n >= max(256, 32 * count), and
     `dense_eigh` (n <= 12) when `count` is None or below that crossover.
     """
     if not h.is_hermitian:

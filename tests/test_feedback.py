@@ -40,8 +40,8 @@ from feedbackq import (
     standard_controls,
     tune_time_step,
 )
-from feedbackq.feedback import AlphaSearchError, _assemble, _controller_from_pieces
-from feedbackq.pauli import HERMITIAN_TOL, commutator_i
+from feedbackq.feedback import AlphaSearchError, _assemble, _controller_from_pieces, _two_level_split
+from feedbackq.pauli import HERMITIAN_TOL, commutator_i, product
 from feedbackq.sampling import TermTable, sample_hadamard_test, sample_pauli_expectation, sample_sum
 
 from _oracles import dense_controller, random_pauli_terms, random_state
@@ -408,6 +408,19 @@ def _two_level_controls(rng, n, channels):
     return ctrls
 
 
+def _cancelling_channel(rng, n):
+    """c*(XI + IX + ZZ + YY) + d*I on qubits 0 and 1, or c*(X + Y) + d*I on one qubit.
+
+    Both are two-level with more than one string, so the parameter shift
+    squares them: X and Y anticommute, and the commuting pairs' cross
+    terms in the four-string square cancel (2 XX - 2 XX).
+    """
+    pad = "I" * (n - 2)
+    strings = ["X", "Y"] if n == 1 else [s + pad for s in ("XI", "IX", "ZZ", "YY")]
+    c = float(rng.uniform(0.5, 2.0))
+    return PauliSum([(ops, c) for ops in strings] + [("I" * n, float(rng.uniform(-1.0, 1.0)))])
+
+
 def _random_shifts(rng, n, count):
     return [Shift(float(rng.uniform(0.5, 5.0)), StateVector.from_amplitudes(random_state(rng, n)), 0.0)
             for _ in range(count)]
@@ -491,18 +504,20 @@ def test_term_table_reads_its_sum(n, drift_terms, identity, shots, seed):
     n=st.integers(1, 4),
     drift_terms=st.integers(1, 8),
     shifts=st.integers(0, 2),
+    cancelling=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gradient_controllers_match_dense_law(n, drift_terms, shifts, seed):
+def test_gradient_controllers_match_dense_law(n, drift_terms, shifts, cancelling, seed):
     """At an exact budget both gradient backends give the dense law on random sums.
 
     The drift is non-diagonal with an identity term, which V adds as a
     constant, and the control carries an identity term, which the
-    parameter shift strips.
+    parameter shift strips.  The control is one string, or several that
+    square to a multiple of the identity (`_cancelling_channel`).
     """
     rng = np.random.default_rng(seed)
     h0 = _random_drift(rng, n, drift_terms)
-    (h_ctrl,) = _two_level_controls(rng, n, 1)
+    h_ctrl = _cancelling_channel(rng, n) if cancelling else _two_level_controls(rng, n, 1)[0]
     p_op = ShiftedOperator(h0, _random_shifts(rng, n, shifts))
     state = StateVector.from_amplitudes(random_state(rng, n))
     gain, dt = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.02, 0.5))
@@ -567,6 +582,73 @@ def test_psr_needs_a_two_level_generator():
     h_ctrl = PauliSum([("XI", 1.0), ("IZ", 0.5)])
     with pytest.raises(UnsupportedGeneratorError):
         controller_grad_psr(StateVector.plus(2), h_ctrl, bench_p(), gain=1.0, dt=0.05)
+    # Several strings are squared: X + Y anticommute, and the commuting
+    # pairs' cross terms in the square of XI + IX + ZZ + YY cancel.
+    pair = PauliSum([("X", 1.0), ("Y", 1.0)])
+    cancelling = PauliSum([("XI", 1.0), ("IX", 1.0), ("ZZ", 1.0), ("YY", 1.0)])
+    assert _two_level_split(pair) == (math.sqrt(2.0), pair)
+    assert _two_level_split(cancelling) == (2.0, cancelling)
+    for bad in (PauliSum([("XI", 1.0), ("IX", 1.0)]), PauliSum([("II", 0.7)]), PauliSum([], n=2)):
+        with pytest.raises(UnsupportedGeneratorError):
+            _two_level_split(bad)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    ops=st.integers(1, 6).flatmap(lambda n: st.text("IXYZ", min_size=n, max_size=n)),
+    exponent=st.floats(-6.0, 3.0),
+    negative=st.booleans(),
+    identity=st.sampled_from([None, -0.3, 2.5]),
+)
+def test_one_string_lambda_is_its_coefficient(ops, exponent, negative, identity):
+    """A one-string channel's lambda equals the squared sum's, bit for bit, with no product."""
+    n = len(ops)
+    ident = "I" * n
+    if ops == ident:
+        ops = "X" + ident[1:]
+    c = (-1.0 if negative else 1.0) * 10.0**exponent
+    terms = [(ops, c)] + ([] if identity is None else [(ident, identity)])
+    h_ctrl = PauliSum(terms)
+    lam, stripped = _two_level_split(h_ctrl)
+    single = PauliSum([(ops, c)])
+    assert stripped == single
+    if identity is None:
+        assert stripped is h_ctrl
+    want = math.sqrt(product(single, single).identity_coefficient.real)
+    assert np.float64(lam).tobytes() == np.float64(want).tobytes()
+
+
+def test_psr_squares_only_channels_of_several_strings(monkeypatch):
+    """A depth-8 grad_psr run squares no one-string channel and each cancelling one per call."""
+    from feedbackq import feedback
+
+    calls = []
+    monkeypatch.setattr(feedback, "product", lambda a, b: calls.append(len(a)) or product(a, b))
+    run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=8, backend="grad_psr"))
+    assert calls == []
+    cancelling = PauliSum([("XI", 0.5), ("IX", 0.5), ("ZZ", 0.5), ("YY", 0.5)])
+    cfg = bench_config(depth=8, gains=(1.5,), backend="grad_psr")
+    run_fqae(BENCH, [cancelling], bench_p(), StateVector.plus(2), cfg)
+    assert calls == [4] * 8
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_public_controllers_refuse_bad_gain_and_dt(bad):
+    """A gain or dt that is not positive and finite is a ValueError naming it, not nan or inf."""
+    state, p_op, ctrl = StateVector.plus(2), bench_p(), Y_CTRLS[0]
+    mixer = standard_controls("x_mixer", 2)[0]
+    gain_calls = [
+        lambda g: controller_overlap_sampled(state, ctrl, p_op, gain=g),
+        lambda g: controller_grad_fd(state, ctrl, p_op, gain=g, dt=0.05),
+        lambda g: controller_grad_psr(state, ctrl, p_op, gain=g, dt=0.05),
+        lambda g: controller_diagonal_fastpath(state, "01", 7.0, BENCH, mixer, g),
+    ]
+    for call in gain_calls:
+        with pytest.raises(ValueError, match="gain must be positive and finite"):
+            call(bad)
+    for controller in (controller_grad_fd, controller_grad_psr):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            controller(state, ctrl, p_op, gain=1.0, dt=bad)
 
 
 def test_backend_failure_carries_partial_trace():

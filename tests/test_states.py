@@ -336,9 +336,10 @@ def test_spectrum_route_follows_the_size_rule(monkeypatch):
         return original(h)
 
     monkeypatch.setattr(states, "dense_eigh", counting)
-    reference_spectrum(build_mfi(random_mfi(8, 0)), count=2)
+    reference_spectrum(build_mfi(random_mfi(7, 0)), count=1)
     reference_spectrum(build_mfi(random_mfi(6, 0)))
     reference_spectrum(MFI9, count=17)
-    assert dense_calls == [8, 6, 9]
+    assert dense_calls == [7, 6, 9]
+    reference_spectrum(build_mfi(random_mfi(8, 0)), count=2)
     reference_spectrum(MFI9, count=16)
-    assert dense_calls == [8, 6, 9]
+    assert dense_calls == [7, 6, 9]
