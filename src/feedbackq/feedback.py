@@ -26,6 +26,7 @@ import numpy as np
 from .pauli import PauliSum, commutator_i, one_norm, product
 from .sampling import (
     EXACT,
+    KeyTable,
     ShotBudget,
     TermTable,
     sample_hadamard_test,
@@ -48,6 +49,9 @@ CONTROL_BOUND_SLACK = 1e-9
 # A deflation stage whose final state overlaps no reference eigenstate
 # by at least this fidelity carries a warning.
 DEFLATION_WARN_FIDELITY = 0.5
+# Layers per key table of a sampled run, so that a table's memory does
+# not grow with depth.
+_KEY_BLOCK_LAYERS = 64
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -162,6 +166,31 @@ def alpha_iterative(
 # Controller backends.  All of them estimate -K <psi| i[H_q, P] |psi>.
 # ---------------------------------------------------------------------------
 
+# The stream suffix of each sampled scalar of one controller call, below
+# the call's budget.  The controllers split by them and `_run_streams`
+# lists them for a run's key table, so the two read one definition.
+_COMM_STREAM = ("comm",)
+
+
+def _ctrl_stream(j: int, k: int, part: int) -> tuple:
+    return ("ctrl", j, k, part)
+
+
+def _ref_stream(j: int, part: int) -> tuple:
+    return ("ref", j, part)
+
+
+def _h0_stream(tag: int) -> tuple:
+    return (tag, "h0")
+
+
+def _shift_stream(tag: int, j: int) -> tuple:
+    return (tag, "shift", j)
+
+
+# The tags of the two probe states whose V a gradient backend estimates.
+_PROBE_TAGS = (0, 1)
+
 
 def _assemble(comm_value: float, pieces: Sequence[Tuple[float, complex, complex]], gain: float) -> float:
     """Combine the commutator part with the projector cross terms.
@@ -197,17 +226,19 @@ def _controller_from_pieces(
     if budget.exact:
         comm_value = expectation(state, comm.sum)
     else:
-        comm_value = sample_sum(state, comm, budget.split("comm"))
+        comm_value = sample_sum(state, comm, budget.split(*_COMM_STREAM))
     pieces = []
     for j, shift in enumerate(p_op.shifts):
         w = 0j
         for k, (ops, coeff) in enumerate(h_ctrl.items()):
-            re = sample_hadamard_test(state, ops, shift.state, "real", budget.split("ctrl", j, k, 0))
-            im = sample_hadamard_test(state, ops, shift.state, "imag", budget.split("ctrl", j, k, 1))
+            re = sample_hadamard_test(state, ops, shift.state, "real",
+                                      budget.split(*_ctrl_stream(j, k, 0)))
+            im = sample_hadamard_test(state, ops, shift.state, "imag",
+                                      budget.split(*_ctrl_stream(j, k, 1)))
             w += coeff.real * complex(re, im)
         ident = "I" * state.n
-        o_re = sample_hadamard_test(shift.state, ident, state, "real", budget.split("ref", j, 0))
-        o_im = sample_hadamard_test(shift.state, ident, state, "imag", budget.split("ref", j, 1))
+        o_re = sample_hadamard_test(shift.state, ident, state, "real", budget.split(*_ref_stream(j, 0)))
+        o_im = sample_hadamard_test(shift.state, ident, state, "imag", budget.split(*_ref_stream(j, 1)))
         pieces.append((shift.alpha, w, complex(o_re, o_im)))
     return _assemble(comm_value, pieces, gain)
 
@@ -238,10 +269,10 @@ def _sampled_lyapunov(state: StateVector, p_op: ShiftedOperator, budget: ShotBud
     The identity coefficient of H0 is a classical constant and is added
     exactly; everything else is one sampled scalar per term or shift.
     """
-    total = sample_sum(state, p_op._h0_terms(), budget.split(tag, "h0"))
+    total = sample_sum(state, p_op._h0_terms(), budget.split(*_h0_stream(tag)))
     for j, shift in enumerate(p_op.shifts):
         overlap_sq = min(fidelity(shift.state, state), 1.0)
-        total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(tag, "shift", j))
+        total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(*_shift_stream(tag, j)))
     return total
 
 
@@ -267,8 +298,8 @@ def controller_grad_fd(
     plan = TrotterPlan.from_sum(h_ctrl, dt)
     plus = plan.apply(state, scale=epsilon, slices=slices)
     minus = plan.apply(state, scale=-epsilon, slices=slices)
-    v_plus = _sampled_lyapunov(plus, p_op, budget, tag=0)
-    v_minus = _sampled_lyapunov(minus, p_op, budget, tag=1)
+    v_plus = _sampled_lyapunov(plus, p_op, budget, _PROBE_TAGS[0])
+    v_minus = _sampled_lyapunov(minus, p_op, budget, _PROBE_TAGS[1])
     return -(gain / dt) * (v_plus - v_minus) / (2.0 * epsilon)
 
 
@@ -280,7 +311,9 @@ def _two_level_split(h_ctrl: PauliSum) -> Tuple[float, PauliSum]:
     to lambda**2 times the identity.  One string c*P squares to c**2 * I
     because P**2 = I, so its lambda is read off c; two or more strings
     are squared, since commuting pairs may cancel (XI + IX + ZZ + YY
-    squares to 4 I) where no pairwise test would see it.
+    squares to 4 I) where no pairwise test would see it.  They are
+    squared scaled to unit one-norm, so the test is relative to the
+    channel's size and no small channel's square is pruned away.
     """
     stripped = h_ctrl
     if h_ctrl.identity_coefficient:
@@ -290,18 +323,21 @@ def _two_level_split(h_ctrl: PauliSum) -> Tuple[float, PauliSum]:
         raise UnsupportedGeneratorError(
             "control Hamiltonian is a multiple of the identity; use controller_grad_fd"
         )
+    scale = 1.0
     if len(stripped) == 1:
         ((_, c),) = stripped.items()
         lam_sq, residual = (c * c).real, 0.0
     else:
-        square = product(stripped, stripped)
+        scale = one_norm(stripped)
+        unit = stripped * (1.0 / scale)
+        square = product(unit, unit)
         lam_sq, residual = square.identity_coefficient.real, one_norm(square)
     if residual > 1e-10 or lam_sq <= 0:
         raise UnsupportedGeneratorError(
             "control Hamiltonian does not have a two-point spectrum +/-lambda; "
             "use controller_grad_fd instead"
         )
-    return math.sqrt(lam_sq), stripped
+    return scale * math.sqrt(lam_sq), stripped
 
 
 def _two_level_rotation(state: StateVector, stripped: PauliSum, lam: float, theta: float) -> StateVector:
@@ -334,8 +370,8 @@ def controller_grad_psr(
     prefactor = -gain * lam
     plus = _two_level_rotation(state, stripped, lam, shift * dt)
     minus = _two_level_rotation(state, stripped, lam, -shift * dt)
-    v_plus = _sampled_lyapunov(plus, p_op, budget, tag=0)
-    v_minus = _sampled_lyapunov(minus, p_op, budget, tag=1)
+    v_plus = _sampled_lyapunov(plus, p_op, budget, _PROBE_TAGS[0])
+    v_minus = _sampled_lyapunov(minus, p_op, budget, _PROBE_TAGS[1])
     return prefactor * (v_plus - v_minus)
 
 
@@ -460,6 +496,27 @@ class RunTrace:
         return np.max(np.abs(self.controls), axis=1)
 
 
+def _run_streams(
+    h_ctrls: Sequence[PauliSum], p_op: ShiftedOperator, comm_tables: Optional[Sequence[TermTable]]
+) -> Tuple[List[tuple], List[Tuple[tuple, Sequence[TermTable]]]]:
+    """The stream suffixes of one sampled controller call, as `KeyTable` takes them.
+
+    `comm_tables` holds each channel's commutator table on the
+    overlap/Hadamard route and is None on the gradient routes.  The
+    overlap suffixes cover the longest channel; a suffix no call splits
+    only costs its keys.
+    """
+    shifts = range(len(p_op.shifts))
+    if comm_tables is not None:
+        terms = range(max(len(h) for h in h_ctrls))
+        singles = [_ctrl_stream(j, k, part) for j in shifts for k in terms for part in (0, 1)]
+        singles += [_ref_stream(j, part) for j in shifts for part in (0, 1)]
+        return singles, [(_COMM_STREAM, comm_tables)]
+    h0 = [p_op._h0_terms()] * len(h_ctrls)
+    singles = [_shift_stream(tag, j) for tag in _PROBE_TAGS for j in shifts]
+    return singles, [(_h0_stream(tag), h0) for tag in _PROBE_TAGS]
+
+
 def _control_bound(gain: float, comm: PauliSum, h_ctrl: PauliSum, p_op: ShiftedOperator) -> float:
     """A priori bound on |u|: K*(2*|comm|_1 + 2*sum_j alpha_j*|H_q|_1)."""
     return gain * (2.0 * one_norm(comm) + 2.0 * sum(p_op.alphas) * one_norm(h_ctrl))
@@ -504,6 +561,7 @@ def run_fqae(
     # value is the exact law; sampled gradients obey looser constants.
     exact_law = budget.exact and backend != "grad_fd"
     comms = [commutator_i(h, h0) for h in h_ctrls] if overlap or exact_law else None
+    tables = [TermTable(c) for c in comms] if overlap else None
     bounds = None
     if exact_law:
         bounds = [_control_bound(config.gains[q], comms[q], h_ctrls[q], p_op) for q in range(r)]
@@ -513,7 +571,7 @@ def run_fqae(
     def bind(q: int) -> Callable[[StateVector, ShotBudget], float]:
         h_ctrl, gain = h_ctrls[q], config.gains[q]
         if overlap:
-            table = TermTable(comms[q])
+            table = tables[q]
             return lambda state, b: _controller_from_pieces(state, table, h_ctrl, p_op, gain, b)
         if backend == "grad_fd":
             return lambda state, b: controller_grad_fd(
@@ -522,6 +580,12 @@ def run_fqae(
         return lambda state, b: controller_grad_psr(state, h_ctrl, p_op, gain, config.dt, budget=b)
 
     controllers = [bind(q) for q in range(r)]
+    # A sampled run keys its draws a block of layers at a time; a layer
+    # key must be one entropy word.
+    streams = None
+    if not budget.exact and config.depth < 1 << 32:
+        streams = _run_streams(h_ctrls, p_op, tables)
+    keyed = budget
 
     controls = (0.0,) * r
     state = psi0.copy()
@@ -567,10 +631,13 @@ def run_fqae(
             return _trace(controls)
         prev_v = v_k
 
+        if streams is not None and (k - 1) % _KEY_BLOCK_LAYERS == 0:
+            layers = min(_KEY_BLOCK_LAYERS, config.depth - k + 1)
+            keyed = budget._keyed(KeyTable(budget, k, layers, r, *streams))
         try:
             nxt = []
             for q in range(r):
-                u = controllers[q](state, budget.split(k, q))
+                u = controllers[q](state, keyed.split(k, q))
                 if not np.isfinite(u):
                     raise FloatingPointError(f"controller for channel {q} is not finite")
                 nxt.append(float(u))

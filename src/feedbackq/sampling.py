@@ -15,7 +15,9 @@ all of them in one array pass from their common prefix
 (`ShotBudget.split_binomials`); the draws equal per-split draws.  A
 sampled sum reads a `TermTable`, built once from a `PauliSum`: its
 strings were checked when the sum was built, and it mixes its stream
-keys once per entropy length.
+keys once per entropy length.  A run knows every path it will draw on
+before a layer starts, so it keys a block of layers' draws in one array
+pass (`KeyTable`) and its budgets read their keys there.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def _mix_steps(length: int) -> Tuple[np.ndarray, np.ndarray]:
     return _hash_steps(_INIT_A * pow(_MULT_A, _POOL_SIZE * length, 1 << 32), _MULT_A)
 
 
-def _philox_keys(pools: np.ndarray) -> List[List[int]]:
-    """The key `Philox(seq)` takes for each row of an (m, 4) uint32 array of pools.
+def _philox_keys(pools: np.ndarray) -> np.ndarray:
+    """The (..., 2) uint64 keys `Philox(seq)` takes for (..., 4) uint32 pools.
 
     That key is `seq.generate_state(2, np.uint64)`: each pool word hashed
     with a constant that depends only on its position, then the four
@@ -131,7 +133,7 @@ def _philox_keys(pools: np.ndarray) -> List[List[int]]:
     xor, mult = _STATE_STEPS
     words = (pools ^ xor) * mult
     words ^= words >> 16
-    return words.astype("<u4", copy=False).view("<u8").tolist()
+    return words.astype("<u4", copy=False).view("<u8")
 
 
 def _philox_key(pool: np.ndarray) -> List[int]:
@@ -149,13 +151,42 @@ def _check_batch_keys(keys: Sequence) -> None:
             raise ValueError(f"batched split keys must be integers in [0, 2**32), got {k!r}")
 
 
-def _key_mix(length: int, keys: Sequence[int]) -> np.ndarray:
-    """The keys' half of `ShotBudget._child_binomials`, for keys `_check_batch_keys` accepts."""
+def _word_mix(length: int, words: np.ndarray) -> np.ndarray:
+    """The words' half of mixing each of `words` in as entropy word `length`: shape (..., 4)."""
     xor, mult = _mix_steps(length)
-    mixed = (np.array(keys, dtype=np.uint32)[:, None] ^ xor) * mult
+    mixed = (words[..., None] ^ xor) * mult
     mixed ^= mixed >> 16
     mixed *= _MIX_MULT_R
     return mixed
+
+
+def _key_mix(length: int, keys: Sequence[int]) -> np.ndarray:
+    """`_word_mix` of keys that `_check_batch_keys` accepts, one row per key."""
+    return _word_mix(length, np.array(keys, dtype=np.uint32))
+
+
+def _descend(pools: np.ndarray, length: int, words: np.ndarray | None = None,
+             table: "TermTable | None" = None) -> np.ndarray:
+    """The pools of the paths below (..., 4) uint32 `pools` at entropy length `length`.
+
+    Each path appends the words along the last axis of `words`, which
+    broadcasts against the pools' rows, then, given a table, each of its
+    term keys, which adds an axis of the table's length before the pool
+    words.  SeedSequence mixes a word past the pool size into each pool
+    word in turn, pool[i] = mix(pool[i], hashmix(word)), advancing the
+    hash constant once per pool word; the constants depend only on the
+    word's position, so every row shares them.
+    """
+    mixes = []
+    if words is not None:
+        mixes = [_word_mix(length + i, words[..., i]) for i in range(words.shape[-1])]
+    if table is not None:
+        pools = pools[..., None, :]
+        mixes.append(table.key_mix(length + len(mixes)))
+    for mixed in mixes:
+        pools = pools * _MIX_MULT_L - mixed
+        pools ^= pools >> 16
+    return pools
 
 
 @lru_cache(maxsize=1)
@@ -204,13 +235,16 @@ class ShotBudget:
     `split` extends it, and `rng` opens a Philox stream keyed by
     (seed, path).  Shots other than None must be a Python or numpy
     integer in [1, 2**63) (not a bool), and the seed and every path
-    entry non-negative integers.
+    entry non-negative integers.  A budget that a run keys in blocks of
+    layers carries their `KeyTable`, and its splits hand it down; a draw
+    reads its key there first.
     """
 
     shots: int | None
     seed: int = 0
     path: Tuple[int, ...] = ()
     _words: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _keys: "KeyTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.shots is not None:
@@ -238,19 +272,29 @@ class ShotBudget:
             words += more
         # Skip __init__: the parent's words are already checked and assembled.
         child = object.__new__(ShotBudget)
-        child.__dict__.update(shots=self.shots, seed=self.seed, path=path, _words=words)
+        child.__dict__.update(shots=self.shots, seed=self.seed, path=path, _words=words,
+                              _keys=self._keys)
         return child
 
     def _seed_sequence(self) -> np.random.SeedSequence:
         """Equal in state to the SeedSequence of `seed` with spawn key `path`."""
         return np.random.SeedSequence(np.array(self._words, dtype=np.uint32))
 
+    def _keyed(self, table: "KeyTable") -> "ShotBudget":
+        """This budget, carrying `table` down to its splits."""
+        keyed = object.__new__(ShotBudget)
+        keyed.__dict__.update(self.__dict__, _keys=table)
+        return keyed
+
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self._seed_sequence()))
 
     def binomial(self, p: float) -> int:
         """One binomial(shots, p) draw, equal to `self.rng().binomial(self.shots, p)`."""
-        return _binomials(self.shots, [_philox_key(self._seed_sequence().pool)], (p,))[0]
+        key = None if self._keys is None else self._keys.single(self.path)
+        if key is None:
+            key = _philox_key(self._seed_sequence().pool)
+        return _binomials(self.shots, [key], (p,))[0]
 
     def split_binomials(self, keys: Sequence[int], probs: Sequence[float]) -> List[int]:
         """`[self.split(k).binomial(p) for k, p in zip(keys, probs)]`, keyed in one pass.
@@ -261,20 +305,16 @@ class ShotBudget:
         the keys are checked on every call.
         """
         _check_batch_keys(keys)
-        return self._child_binomials(_key_mix(len(self._words), keys), probs)
+        words = np.array(keys, dtype=np.uint32)[:, None]
+        pools = _descend(self._seed_sequence().pool, len(self._words), words)
+        return _binomials(self.shots, _philox_keys(pools).tolist(), probs)
 
-    def _child_binomials(self, mixed: np.ndarray, probs: Sequence[float]) -> List[int]:
-        """`split_binomials` for the keys whose `_key_mix` at this entropy length is `mixed`.
-
-        SeedSequence mixes an entropy word past the pool size into each
-        pool word in turn, pool[i] = mix(pool[i], hashmix(word)), advancing
-        the hash constant once per pool word.  Every key is one word at
-        the same position, so all children share those constants, and
-        `mixed` holds the keys' half of the mix, one row per child.
-        """
-        pools = self._seed_sequence().pool * _MIX_MULT_L - mixed
-        pools ^= pools >> 16
-        return _binomials(self.shots, _philox_keys(pools), probs)
+    def _child_binomials(self, table: "TermTable", probs: Sequence[float]) -> List[int]:
+        """`split_binomials(table.keys, probs)`, keyed from this budget's key table if it holds them."""
+        keys = None if self._keys is None else self._keys.batch(self.path, table)
+        if keys is None:
+            keys = _philox_keys(_descend(self._seed_sequence().pool, len(self._words), table=table))
+        return _binomials(self.shots, keys.tolist(), probs)
 
 
 EXACT = ShotBudget(shots=None)
@@ -351,6 +391,88 @@ class TermTable:
         return mixed
 
 
+class KeyTable:
+    """The Philox keys of every sampled draw in a block of a run's layers.
+
+    A run's controller call for layer k and channel q draws below
+    `root.split(k, q)`, one path suffix per scalar.  `singles` holds the
+    keys of each single draw's suffix, (layers, channels, suffixes, 2)
+    uint64, and `columns` maps a suffix to its place on the third axis;
+    `batches` maps the suffix of a sampled sum to one (term table, keys)
+    pair per channel, the keys (layers, terms, 2).  A path the table
+    does not hold misses and is keyed through its SeedSequence.  Keys
+    are a function of the path, so a hit draws what that route draws.
+    """
+
+    __slots__ = ("offset", "first", "layers", "channels", "columns", "singles", "batches")
+
+    def __init__(
+        self,
+        root: ShotBudget,
+        first: int,
+        layers: int,
+        channels: int,
+        singles: Sequence[tuple],
+        batches: Sequence[Tuple[tuple, Sequence[TermTable]]],
+    ):
+        """Key layers first..first+layers-1 (below 2**32) of `channels` channels below `root`.
+
+        `singles` lists the non-empty single-draw suffixes and `batches`
+        pairs each sum's suffix with its term table on every channel.
+        """
+        self.offset, self.first, self.layers, self.channels = len(root.path), first, layers, channels
+        rows = np.empty((layers, channels, 2), dtype=np.uint32)
+        rows[..., 0] = np.arange(first, first + layers)[:, None]
+        rows[..., 1] = np.arange(channels)
+        length = len(root._words)
+        pools = _descend(root._seed_sequence().pool, length, rows)
+        length += 2
+
+        # Suffixes of equal word counts are keyed in one pass each.
+        widths: dict = {}
+        for path in dict.fromkeys(tuple(_normalize_key(k) for k in suffix) for suffix in singles):
+            widths.setdefault(len(_path_words(path)), []).append(path)
+        groups = list(widths.values())
+        self.columns = {path: col for col, path in enumerate(p for group in groups for p in group)}
+        parts = [
+            _philox_keys(_descend(pools[:, :, None], length,
+                                  np.array([_path_words(path) for path in group], dtype=np.uint32)))
+            for group in groups
+        ]
+        self.singles = np.concatenate(parts, axis=2) if parts else None
+
+        self.batches = {}
+        for suffix, tables in batches:
+            path = tuple(_normalize_key(k) for k in suffix)
+            words = np.array(_path_words(path), dtype=np.uint32)
+            entry = [None] * channels
+            for table in {id(t): t for t in tables}.values():
+                qs = [q for q, t in enumerate(tables) if t is table]
+                keys = _philox_keys(_descend(pools[:, qs], length, words, table))
+                for i, q in enumerate(qs):
+                    entry[q] = (table, keys[:, i])
+            self.batches[path] = entry
+
+    def _row(self, path: Tuple[int, ...]) -> Tuple[int, int] | None:
+        """The (layer index, channel) of a path below one of the table's calls, or None."""
+        layer, q = path[self.offset] - self.first, path[self.offset + 1]
+        return (layer, q) if 0 <= layer < self.layers and q < self.channels else None
+
+    def single(self, path: Tuple[int, ...]) -> List[int] | None:
+        """The key of a single draw on `path`, or None."""
+        col = self.columns.get(path[self.offset + 2:])
+        row = None if col is None else self._row(path)
+        return None if row is None else self.singles[row + (col,)].tolist()
+
+    def batch(self, path: Tuple[int, ...], table: TermTable) -> np.ndarray | None:
+        """The (terms, 2) keys of `table`'s streams below `path`, or None."""
+        entry = self.batches.get(path[self.offset + 2:])
+        row = None if entry is None else self._row(path)
+        if row is None or entry[row[1]][0] is not table:
+            return None
+        return entry[row[1]][1][row[0]]
+
+
 def sample_sum(state: StateVector, table: TermTable, budget: ShotBudget) -> float:
     """<h> for h = `table.sum`, summed in term order after the identity coefficient.
 
@@ -361,7 +483,7 @@ def sample_sum(state: StateVector, table: TermTable, budget: ShotBudget) -> floa
     values = [pauli_expectation(state, ops) for ops in table.strings]
     if not budget.exact:
         probs = [_pm1_probability(v) for v in values]
-        hits = budget._child_binomials(table.key_mix(len(budget._words)), probs)
+        hits = budget._child_binomials(table, probs)
         values = [_pm1_mean(h, budget.shots) for h in hits]
     total = table.identity
     for coeff, value in zip(table.coeffs, values):

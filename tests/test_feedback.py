@@ -380,6 +380,81 @@ def test_sampled_runs_check_strings_and_keys_once(backend, monkeypatch):
     assert seen[0]["mixes"] == (3 if backend == "overlap_hadamard" else 1)
 
 
+def _keyed_run(backend, depth):
+    """`run_fqae`'s arguments for a sampled run on 3 qubits, two shifts and a four-string channel."""
+    h0 = build_ising(random_ising(3, 1))
+    ref = reference_spectrum(h0, count=2)
+    shifts = [Shift(4.0, ref[0][1], ref[0][0]), Shift(2.0, ref[1][1], ref[1][0])]
+    ctrls = standard_controls("y_per_qubit", 3) + [_cancelling_channel(np.random.default_rng(4), 3)]
+    budget = ShotBudget(300, seed=2**70 + 9).split("run", 3)
+    cfg = FeedbackConfig(dt=0.05, gains=(1.0,) * 4, depth=depth, backend=backend, budget=budget)
+    return h0, ctrls, ShiftedOperator(h0, shifts), StateVector.plus(3), cfg
+
+
+@pytest.mark.parametrize("backend", SAMPLED_BACKENDS)
+def test_sampled_runs_key_draws_per_block(backend, monkeypatch):
+    """A sampled run builds one SeedSequence per block of layers and none per draw.
+
+    Its draws equal those of the run whose key-table lookups all miss,
+    so that each draw builds its own SeedSequence: the controllers split
+    on exactly the streams the run's tables hold.
+    """
+    from feedbackq import feedback, sampling
+
+    monkeypatch.setattr(feedback, "_KEY_BLOCK_LAYERS", 3)
+    built = [0]
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built[0] += 1
+            super().__init__(*args, **kwargs)
+
+    args = _keyed_run(backend, depth=7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "SeedSequence", Counted)
+        keyed = run_fqae(*args)
+        assert built[0] == 3
+        mp.setattr(sampling.KeyTable, "single", lambda self, path: None)
+        mp.setattr(sampling.KeyTable, "batch", lambda self, path, table: None)
+        missed = run_fqae(*args)
+        assert built[0] > 3 + 7 * 4
+    assert np.array_equal(keyed.controls, missed.controls)
+    assert keyed.final_controls == missed.final_controls
+
+
+def test_key_tables_do_not_grow_with_depth(monkeypatch):
+    """Every block's key table has one size at any depth, and a run keeps at most two alive.
+
+    A table is built when the previous one is still bound, and dropped
+    when the next one replaces it.
+    """
+    import weakref
+
+    from feedbackq import feedback, sampling
+
+    monkeypatch.setattr(feedback, "_KEY_BLOCK_LAYERS", 4)
+    sizes, alive, refs = [], [], []
+
+    class Recorded(sampling.KeyTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(self))
+            sizes.append(self.singles.nbytes + sum(
+                keys.nbytes for entry in self.batches.values() for _, keys in entry))
+
+    monkeypatch.setattr(feedback, "KeyTable", Recorded)
+    for backend in ("overlap_hadamard", "grad_psr"):
+        seen = []
+        for depth in (8, 40):
+            sizes.clear()
+            alive.clear()
+            run_fqae(*_keyed_run(backend, depth))
+            assert len(sizes) == depth // 4 and max(alive) <= 1
+            seen.append(set(sizes))
+        assert seen[0] == seen[1] and len(seen[0]) == 1
+
+
 def _per_split_sum(state, table, budget):
     """`sample_sum` as one split and one single estimate per term."""
     total = table.identity
@@ -591,6 +666,17 @@ def test_psr_needs_a_two_level_generator():
     for bad in (PauliSum([("XI", 1.0), ("IX", 1.0)]), PauliSum([("II", 0.7)]), PauliSum([], n=2)):
         with pytest.raises(UnsupportedGeneratorError):
             _two_level_split(bad)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_two_level_split_is_relative_to_the_channel(c):
+    """A channel of several strings is judged at its own scale: none is too small to square."""
+    for strings, lam in ((("X", "Y"), math.sqrt(2.0)), (("XI", "IX", "ZZ", "YY"), 2.0)):
+        h_ctrl = PauliSum([(ops, c) for ops in strings])
+        got, stripped = _two_level_split(h_ctrl)
+        assert got == pytest.approx(lam * c, rel=1e-12, abs=0) and stripped is h_ctrl
+    with pytest.raises(UnsupportedGeneratorError):
+        _two_level_split(PauliSum([("XI", c), ("IX", c)]))
 
 
 @settings(max_examples=200, deadline=None, database=None)

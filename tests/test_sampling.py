@@ -1,5 +1,7 @@
 """Shot-noise estimators: determinism, unbiasedness, and scaling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from feedbackq import (
     sample_pauli_expectation,
     sample_zero_fraction,
 )
-from feedbackq.sampling import TermTable, sample_sum
+from feedbackq.sampling import KeyTable, TermTable, sample_sum
 
 from _oracles import dense_string, philox_stream, random_state, seed_sequence
 
@@ -119,6 +121,52 @@ def test_split_binomials_match_per_split_draws(seed, prefix, shots, draws):
     want = [philox_stream(seed, budget.path + (k,)).binomial(shots, p) for k, p in draws]
     assert [budget.split(k).binomial(p) for k, p in draws] == want
     assert budget.split_binomials(keys, [p for _, p in draws]) == want
+
+
+def _philox_key(seed, path):
+    return philox_stream(seed, path).bit_generator.state["state"]["key"].tolist()
+
+
+_STRINGS = ["".join(p) for p in itertools.product("IXYZ", repeat=2)]
+path_keys = st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=4))
+term_sums = st.tuples(st.sets(st.sampled_from(_STRINGS[1:]), max_size=5), st.booleans()).map(
+    lambda drawn: PauliSum([(ops, 1.0) for ops in drawn[0]] + [("II", 0.5)] * drawn[1], n=2))
+
+
+@PROPERTY
+@given(seed=seeds, prefix=st.lists(path_keys, max_size=6),
+       first=st.one_of(st.just(2**32 - 3), st.integers(0, 2**32 - 3)),
+       channels=st.integers(1, 3),
+       singles=st.lists(st.lists(path_keys, min_size=1, max_size=4).map(tuple), max_size=4),
+       sums=st.lists(st.tuples(st.lists(path_keys, min_size=1, max_size=3).map(tuple), term_sums,
+                               term_sums), max_size=2, unique_by=lambda drawn: drawn[0]))
+@example(seed=2**64 + 5, prefix=[], first=0, channels=2, singles=[("ctrl", 0, 0, 1)],
+         sums=[(("comm",), PauliSum([("XZ", 1.0), ("ZY", 2.0)]), PauliSum([("XX", 1.0)]))])
+def test_key_table_holds_numpy_keys(seed, prefix, first, channels, singles, sums):
+    """Every key a table holds is the Philox key of SeedSequence(seed, spawn_key=path).
+
+    A table keys three layers of every channel below a root budget: its
+    single-draw suffixes, and each sum's term streams, with channels
+    alternating between two term tables.  Paths it does not hold miss.
+    """
+    root = ShotBudget(10, seed).split(*prefix)
+    batches = [(suffix, [TermTable(h) for h in pair] * channels) for suffix, *pair in sums]
+    batches = [(suffix, tables[:channels]) for suffix, tables in batches]
+    table = KeyTable(root, first, 3, channels, singles, batches)
+    for layer, q in itertools.product(range(first, first + 3), range(channels)):
+        call = root.split(layer, q)
+        for suffix in singles:
+            path = call.split(*suffix).path
+            assert table.single(path) == _philox_key(seed, path)
+        for suffix, tables in batches:
+            path = call.split(*suffix).path
+            keys = table.batch(path, tables[q])
+            assert keys.tolist() == [_philox_key(seed, path + (k,)) for k in tables[q].keys]
+            assert table.batch(path, TermTable(tables[q].sum)) is None
+    for layer, q in ((first - 1, 0), (first + 3, 0), (first, channels)):
+        for suffix in singles:
+            assert table.single(root.split(layer, q, *suffix).path) is None
+    assert table.single(root.split(first, 0, "unheld", 7).path) is None
 
 
 def test_split_binomials_refuse_keys_past_one_word():
