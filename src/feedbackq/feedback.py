@@ -166,32 +166,6 @@ def alpha_iterative(
 # Controller backends.  All of them estimate -K <psi| i[H_q, P] |psi>.
 # ---------------------------------------------------------------------------
 
-# The stream suffix of each sampled scalar of one controller call, below
-# the call's budget.  The controllers split by them and `_run_streams`
-# lists them for a run's key table, so the two read one definition.
-_COMM_STREAM = ("comm",)
-
-
-def _ctrl_stream(j: int, k: int, part: int) -> tuple:
-    return ("ctrl", j, k, part)
-
-
-def _ref_stream(j: int, part: int) -> tuple:
-    return ("ref", j, part)
-
-
-def _h0_stream(tag: int) -> tuple:
-    return (tag, "h0")
-
-
-def _shift_stream(tag: int, j: int) -> tuple:
-    return (tag, "shift", j)
-
-
-# The tags of the two probe states whose V a gradient backend estimates.
-_PROBE_TAGS = (0, 1)
-
-
 def _assemble(comm_value: float, pieces: Sequence[Tuple[float, complex, complex]], gain: float) -> float:
     """Combine the commutator part with the projector cross terms.
 
@@ -226,19 +200,17 @@ def _controller_from_pieces(
     if budget.exact:
         comm_value = expectation(state, comm.sum)
     else:
-        comm_value = sample_sum(state, comm, budget.split(*_COMM_STREAM))
+        comm_value = sample_sum(state, comm, budget.split("comm"))
     pieces = []
     for j, shift in enumerate(p_op.shifts):
         w = 0j
         for k, (ops, coeff) in enumerate(h_ctrl.items()):
-            re = sample_hadamard_test(state, ops, shift.state, "real",
-                                      budget.split(*_ctrl_stream(j, k, 0)))
-            im = sample_hadamard_test(state, ops, shift.state, "imag",
-                                      budget.split(*_ctrl_stream(j, k, 1)))
+            re = sample_hadamard_test(state, ops, shift.state, "real", budget.split("ctrl", j, k, 0))
+            im = sample_hadamard_test(state, ops, shift.state, "imag", budget.split("ctrl", j, k, 1))
             w += coeff.real * complex(re, im)
         ident = "I" * state.n
-        o_re = sample_hadamard_test(shift.state, ident, state, "real", budget.split(*_ref_stream(j, 0)))
-        o_im = sample_hadamard_test(shift.state, ident, state, "imag", budget.split(*_ref_stream(j, 1)))
+        o_re = sample_hadamard_test(shift.state, ident, state, "real", budget.split("ref", j, 0))
+        o_im = sample_hadamard_test(shift.state, ident, state, "imag", budget.split("ref", j, 1))
         pieces.append((shift.alpha, w, complex(o_re, o_im)))
     return _assemble(comm_value, pieces, gain)
 
@@ -269,10 +241,10 @@ def _sampled_lyapunov(state: StateVector, p_op: ShiftedOperator, budget: ShotBud
     The identity coefficient of H0 is a classical constant and is added
     exactly; everything else is one sampled scalar per term or shift.
     """
-    total = sample_sum(state, p_op._h0_terms(), budget.split(*_h0_stream(tag)))
+    total = sample_sum(state, p_op._h0_terms(), budget.split(tag, "h0"))
     for j, shift in enumerate(p_op.shifts):
         overlap_sq = min(fidelity(shift.state, state), 1.0)
-        total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(*_shift_stream(tag, j)))
+        total += shift.alpha * sample_zero_fraction(overlap_sq, budget.split(tag, "shift", j))
     return total
 
 
@@ -298,8 +270,8 @@ def controller_grad_fd(
     plan = TrotterPlan.from_sum(h_ctrl, dt)
     plus = plan.apply(state, scale=epsilon, slices=slices)
     minus = plan.apply(state, scale=-epsilon, slices=slices)
-    v_plus = _sampled_lyapunov(plus, p_op, budget, _PROBE_TAGS[0])
-    v_minus = _sampled_lyapunov(minus, p_op, budget, _PROBE_TAGS[1])
+    v_plus = _sampled_lyapunov(plus, p_op, budget, tag=0)
+    v_minus = _sampled_lyapunov(minus, p_op, budget, tag=1)
     return -(gain / dt) * (v_plus - v_minus) / (2.0 * epsilon)
 
 
@@ -370,8 +342,8 @@ def controller_grad_psr(
     prefactor = -gain * lam
     plus = _two_level_rotation(state, stripped, lam, shift * dt)
     minus = _two_level_rotation(state, stripped, lam, -shift * dt)
-    v_plus = _sampled_lyapunov(plus, p_op, budget, _PROBE_TAGS[0])
-    v_minus = _sampled_lyapunov(minus, p_op, budget, _PROBE_TAGS[1])
+    v_plus = _sampled_lyapunov(plus, p_op, budget, tag=0)
+    v_minus = _sampled_lyapunov(minus, p_op, budget, tag=1)
     return prefactor * (v_plus - v_minus)
 
 
@@ -496,27 +468,6 @@ class RunTrace:
         return np.max(np.abs(self.controls), axis=1)
 
 
-def _run_streams(
-    h_ctrls: Sequence[PauliSum], p_op: ShiftedOperator, comm_tables: Optional[Sequence[TermTable]]
-) -> Tuple[List[tuple], List[Tuple[tuple, Sequence[TermTable]]]]:
-    """The stream suffixes of one sampled controller call, as `KeyTable` takes them.
-
-    `comm_tables` holds each channel's commutator table on the
-    overlap/Hadamard route and is None on the gradient routes.  The
-    overlap suffixes cover the longest channel; a suffix no call splits
-    only costs its keys.
-    """
-    shifts = range(len(p_op.shifts))
-    if comm_tables is not None:
-        terms = range(max(len(h) for h in h_ctrls))
-        singles = [_ctrl_stream(j, k, part) for j in shifts for k in terms for part in (0, 1)]
-        singles += [_ref_stream(j, part) for j in shifts for part in (0, 1)]
-        return singles, [(_COMM_STREAM, comm_tables)]
-    h0 = [p_op._h0_terms()] * len(h_ctrls)
-    singles = [_shift_stream(tag, j) for tag in _PROBE_TAGS for j in shifts]
-    return singles, [(_h0_stream(tag), h0) for tag in _PROBE_TAGS]
-
-
 def _control_bound(gain: float, comm: PauliSum, h_ctrl: PauliSum, p_op: ShiftedOperator) -> float:
     """A priori bound on |u|: K*(2*|comm|_1 + 2*sum_j alpha_j*|H_q|_1)."""
     return gain * (2.0 * one_norm(comm) + 2.0 * sum(p_op.alphas) * one_norm(h_ctrl))
@@ -535,8 +486,9 @@ def run_fqae(
 
     All channels of layer k+1 are evaluated from the same |psi_k|
     (simultaneous update), then applied in channel order after the drift
-    step.  Backend failures and controls beyond the a priori bound raise
-    FeedbackRunError with the partial trace attached.
+    step.  Failed drift or control steps, backend failures and controls
+    beyond the a priori bound raise FeedbackRunError with the partial
+    trace of the completed layers attached.
     """
     if p_op.h0 != h0:
         raise ValueError("p_op was built over a different drift Hamiltonian")
@@ -582,9 +534,7 @@ def run_fqae(
     controllers = [bind(q) for q in range(r)]
     # A sampled run keys its draws a block of layers at a time; a layer
     # key must be one entropy word.
-    streams = None
-    if not budget.exact and config.depth < 1 << 32:
-        streams = _run_streams(h_ctrls, p_op, tables)
+    blocked = not budget.exact and config.depth < 1 << 32
     keyed = budget
 
     controls = (0.0,) * r
@@ -615,10 +565,15 @@ def run_fqae(
 
     prev_v = initial_v
     for k in range(1, config.depth + 1):
-        state = drift_plan.apply(state, slices=slices)
-        for q in range(r):
-            if controls[q] != 0.0:
-                state = ctrl_plans[q].apply(state, scale=controls[q], slices=slices)
+        # A failed step leaves the state of the last completed layer.
+        try:
+            stepped = drift_plan.apply(state, slices=slices)
+            for q in range(r):
+                if controls[q] != 0.0:
+                    stepped = ctrl_plans[q].apply(stepped, scale=controls[q], slices=slices)
+        except Exception as exc:
+            raise FeedbackRunError(f"layer step failed at layer {k}: {exc}", _trace(controls)) from exc
+        state = stepped
 
         applied.append(controls)
         v_k = lyapunov_value(state, p_op)
@@ -631,9 +586,9 @@ def run_fqae(
             return _trace(controls)
         prev_v = v_k
 
-        if streams is not None and (k - 1) % _KEY_BLOCK_LAYERS == 0:
+        if blocked and (k - 1) % _KEY_BLOCK_LAYERS == 0:
             layers = min(_KEY_BLOCK_LAYERS, config.depth - k + 1)
-            keyed = budget._keyed(KeyTable(budget, k, layers, r, *streams))
+            keyed = budget._keyed(KeyTable(budget, k, layers, r))
         try:
             nxt = []
             for q in range(r):

@@ -10,14 +10,13 @@ stream from the master seed through a counter-based path, so results
 are reproducible and independent of evaluation order.  A stream is the
 Philox generator of numpy's SeedSequence for the seed with the path as
 its spawn key; the budget keeps that sequence's entropy words, so a
-draw never rebuilds them.  An estimator with one stream per term keys
-all of them in one array pass from their common prefix
-(`ShotBudget.split_binomials`); the draws equal per-split draws.  A
-sampled sum reads a `TermTable`, built once from a `PauliSum`: its
-strings were checked when the sum was built, and it mixes its stream
-keys once per entropy length.  A run knows every path it will draw on
-before a layer starts, so it keys a block of layers' draws in one array
-pass (`KeyTable`) and its budgets read their keys there.
+draw never rebuilds them.  A sampled sum reads a `TermTable`, built
+once from a `PauliSum`: its strings were checked when the sum was
+built, and it mixes its stream keys once per entropy length, so all of
+its terms are keyed in one array pass.  A run draws below one path per
+layer and channel, so it keys a block of layers' draws in array passes
+(`KeyTable`): each path suffix is keyed for the whole block the first
+time a draw asks for it, and its budgets read their keys there.
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ def _hash_steps(const: int, mult: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 _STATE_STEPS = _hash_steps(_INIT_B, _MULT_B)
-_STATE_CONSTS = tuple(_STATE_STEPS[0].tolist() + _STATE_STEPS[1].tolist())
 
 
 @lru_cache(maxsize=64)
@@ -136,21 +134,6 @@ def _philox_keys(pools: np.ndarray) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8")
 
 
-def _philox_key(pool: np.ndarray) -> List[int]:
-    """`_philox_keys` of one pool, in Python ints: cheaper than a one-row array pass."""
-    p0, p1, p2, p3 = pool.tolist()
-    x0, x1, x2, x3, m0, m1, m2, m3 = _STATE_CONSTS
-    w0, w1 = (p0 ^ x0) * m0 & _MASK32, (p1 ^ x1) * m1 & _MASK32
-    w2, w3 = (p2 ^ x2) * m2 & _MASK32, (p3 ^ x3) * m3 & _MASK32
-    return [w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32]
-
-
-def _check_batch_keys(keys: Sequence) -> None:
-    for k in keys:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= _MASK32:
-            raise ValueError(f"batched split keys must be integers in [0, 2**32), got {k!r}")
-
-
 def _word_mix(length: int, words: np.ndarray) -> np.ndarray:
     """The words' half of mixing each of `words` in as entropy word `length`: shape (..., 4)."""
     xor, mult = _mix_steps(length)
@@ -161,7 +144,7 @@ def _word_mix(length: int, words: np.ndarray) -> np.ndarray:
 
 
 def _key_mix(length: int, keys: Sequence[int]) -> np.ndarray:
-    """`_word_mix` of keys that `_check_batch_keys` accepts, one row per key."""
+    """`_word_mix` of one-word keys (integers in [0, 2**32)), one row per key."""
     return _word_mix(length, np.array(keys, dtype=np.uint32))
 
 
@@ -293,24 +276,15 @@ class ShotBudget:
         """One binomial(shots, p) draw, equal to `self.rng().binomial(self.shots, p)`."""
         key = None if self._keys is None else self._keys.single(self.path)
         if key is None:
-            key = _philox_key(self._seed_sequence().pool)
+            key = _philox_keys(self._seed_sequence().pool).tolist()
         return _binomials(self.shots, [key], (p,))[0]
 
-    def split_binomials(self, keys: Sequence[int], probs: Sequence[float]) -> List[int]:
-        """`[self.split(k).binomial(p) for k, p in zip(keys, probs)]`, keyed in one pass.
-
-        The children's pools and Philox keys come from this budget's pool
-        in array arithmetic instead of one SeedSequence per child.  Each
-        key must be an integer in [0, 2**32), which is one entropy word;
-        the keys are checked on every call.
-        """
-        _check_batch_keys(keys)
-        words = np.array(keys, dtype=np.uint32)[:, None]
-        pools = _descend(self._seed_sequence().pool, len(self._words), words)
-        return _binomials(self.shots, _philox_keys(pools).tolist(), probs)
-
     def _child_binomials(self, table: "TermTable", probs: Sequence[float]) -> List[int]:
-        """`split_binomials(table.keys, probs)`, keyed from this budget's key table if it holds them."""
+        """`[self.split(k).binomial(p) for k, p in zip(table.keys, probs)]`, keyed in one pass.
+
+        The keys come from this budget's key table, or else from its pool
+        in array arithmetic instead of one SeedSequence per term.
+        """
         keys = None if self._keys is None else self._keys.batch(self.path, table)
         if keys is None:
             keys = _philox_keys(_descend(self._seed_sequence().pool, len(self._words), table=table))
@@ -392,85 +366,66 @@ class TermTable:
 
 
 class KeyTable:
-    """The Philox keys of every sampled draw in a block of a run's layers.
+    """The Philox keys of the sampled draws in a block of a run's layers, keyed on first use.
 
     A run's controller call for layer k and channel q draws below
-    `root.split(k, q)`, one path suffix per scalar.  `singles` holds the
-    keys of each single draw's suffix, (layers, channels, suffixes, 2)
-    uint64, and `columns` maps a suffix to its place on the third axis;
-    `batches` maps the suffix of a sampled sum to one (term table, keys)
-    pair per channel, the keys (layers, terms, 2).  A path the table
-    does not hold misses and is keyed through its SeedSequence.  Keys
-    are a function of the path, so a hit draws what that route draws.
+    `root.split(k, q)`, one path suffix per scalar.  The table holds the
+    pools of those paths for the block's layers and channels.  The first
+    draw on a suffix keys it for every layer and channel of the block in
+    one array pass, (layers, channels, 2) uint64 in `singles`; the first
+    sum on a suffix and channel keys its term streams for every layer,
+    (layers, terms, 2) in `batches` with the term table, and another
+    table on that slot keys them anew.  A path outside the block misses
+    and is keyed through its SeedSequence.  Keys are a function of the
+    path, so a hit draws what that route draws.
     """
 
-    __slots__ = ("offset", "first", "layers", "channels", "columns", "singles", "batches")
+    __slots__ = ("offset", "first", "layers", "channels", "length", "pools", "singles", "batches")
 
-    def __init__(
-        self,
-        root: ShotBudget,
-        first: int,
-        layers: int,
-        channels: int,
-        singles: Sequence[tuple],
-        batches: Sequence[Tuple[tuple, Sequence[TermTable]]],
-    ):
-        """Key layers first..first+layers-1 (below 2**32) of `channels` channels below `root`.
-
-        `singles` lists the non-empty single-draw suffixes and `batches`
-        pairs each sum's suffix with its term table on every channel.
-        """
+    def __init__(self, root: ShotBudget, first: int, layers: int, channels: int):
+        """Hold layers first..first+layers-1 (below 2**32) of `channels` channels below `root`."""
         self.offset, self.first, self.layers, self.channels = len(root.path), first, layers, channels
         rows = np.empty((layers, channels, 2), dtype=np.uint32)
         rows[..., 0] = np.arange(first, first + layers)[:, None]
         rows[..., 1] = np.arange(channels)
-        length = len(root._words)
-        pools = _descend(root._seed_sequence().pool, length, rows)
-        length += 2
-
-        # Suffixes of equal word counts are keyed in one pass each.
-        widths: dict = {}
-        for path in dict.fromkeys(tuple(_normalize_key(k) for k in suffix) for suffix in singles):
-            widths.setdefault(len(_path_words(path)), []).append(path)
-        groups = list(widths.values())
-        self.columns = {path: col for col, path in enumerate(p for group in groups for p in group)}
-        parts = [
-            _philox_keys(_descend(pools[:, :, None], length,
-                                  np.array([_path_words(path) for path in group], dtype=np.uint32)))
-            for group in groups
-        ]
-        self.singles = np.concatenate(parts, axis=2) if parts else None
-
-        self.batches = {}
-        for suffix, tables in batches:
-            path = tuple(_normalize_key(k) for k in suffix)
-            words = np.array(_path_words(path), dtype=np.uint32)
-            entry = [None] * channels
-            for table in {id(t): t for t in tables}.values():
-                qs = [q for q, t in enumerate(tables) if t is table]
-                keys = _philox_keys(_descend(pools[:, qs], length, words, table))
-                for i, q in enumerate(qs):
-                    entry[q] = (table, keys[:, i])
-            self.batches[path] = entry
+        self.pools = _descend(root._seed_sequence().pool, len(root._words), rows)
+        self.length = len(root._words) + 2
+        self.singles: dict = {}
+        self.batches: dict = {}
 
     def _row(self, path: Tuple[int, ...]) -> Tuple[int, int] | None:
         """The (layer index, channel) of a path below one of the table's calls, or None."""
         layer, q = path[self.offset] - self.first, path[self.offset + 1]
         return (layer, q) if 0 <= layer < self.layers and q < self.channels else None
 
+    def _keys_below(self, pools: np.ndarray, suffix: Tuple[int, ...],
+                    table: TermTable | None = None) -> np.ndarray:
+        """The Philox keys of `suffix` below each of `pools`, then of each of `table`'s terms."""
+        words = np.array(_path_words(suffix), dtype=np.uint32)
+        return _philox_keys(_descend(pools, self.length, words, table))
+
     def single(self, path: Tuple[int, ...]) -> List[int] | None:
         """The key of a single draw on `path`, or None."""
-        col = self.columns.get(path[self.offset + 2:])
-        row = None if col is None else self._row(path)
-        return None if row is None else self.singles[row + (col,)].tolist()
+        row = self._row(path)
+        if row is None:
+            return None
+        suffix = path[self.offset + 2:]
+        keys = self.singles.get(suffix)
+        if keys is None:
+            keys = self.singles[suffix] = self._keys_below(self.pools, suffix)
+        return keys[row].tolist()
 
     def batch(self, path: Tuple[int, ...], table: TermTable) -> np.ndarray | None:
         """The (terms, 2) keys of `table`'s streams below `path`, or None."""
-        entry = self.batches.get(path[self.offset + 2:])
-        row = None if entry is None else self._row(path)
-        if row is None or entry[row[1]][0] is not table:
+        row = self._row(path)
+        if row is None:
             return None
-        return entry[row[1]][1][row[0]]
+        layer, q = row
+        slot = (path[self.offset + 2:], q)
+        entry = self.batches.get(slot)
+        if entry is None or entry[0] is not table:
+            entry = self.batches[slot] = (table, self._keys_below(self.pools[:, q], slot[0], table))
+        return entry[1][layer]
 
 
 def sample_sum(state: StateVector, table: TermTable, budget: ShotBudget) -> float:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -587,6 +588,40 @@ def test_control_bound_violation_exits_with_partial_trace(tmp_path, monkeypatch)
     summary = json.loads((tmp_path / "bound_summary.json").read_text())
     assert "bound violated" in summary["error"]
     assert summary["layers_completed"] == 1
+
+
+def test_failed_layer_step_exits_with_partial_trace(tmp_path, capsys):
+    """A finite dt whose drift angle overflows exits 1 with the empty partial trace, no traceback."""
+    doc = json.loads((CONFIG_DIR / "ising_41_run.json").read_text())
+    doc["feedback"]["dt"] = 1e308
+    cfg = write_doc(tmp_path, doc)
+    out = str(tmp_path / "step")
+    assert main(["run", "--config", cfg, "--out", out]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "run failed: layer step failed at layer 1: math domain error" in err
+    assert "Traceback" not in err
+    rows = read_rows(tmp_path / "step_trace.csv")
+    assert rows[0][:3] == ["layer", "u_1", "u_2"] and len(rows) == 1
+    summary = json.loads((tmp_path / "step_summary.json").read_text())
+    assert summary["layers_completed"] == 0
+    assert summary["error"] == "layer step failed at layer 1: math domain error"
+
+
+def test_sweep_records_a_failed_layer_step_as_nan(tmp_path, capsys):
+    """A dt candidate whose drift angle overflows fails its point as a NaN row, and the sweep exits 1."""
+    doc = ising_sweep_doc("n", [2])
+    doc["sweep"].update(alpha=4.0, dt_candidates=[1e308, 0.05])
+    cfg = write_doc(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == EXIT_RUNTIME
+    # The control angle overflows once |u| * dt passes the largest float.
+    error = re.fullmatch(r"point 2 failed: (layer step failed at layer \d+: math domain error)\n",
+                         capsys.readouterr().err)
+    assert error
+    row = dict(zip(*read_rows(tmp_path / "sw_sweep.csv")))
+    assert row["instances"] == "0" and row["mean_fidelity"] == "nan"
+    summary = json.loads((tmp_path / "sw_sweep.json").read_text())
+    assert summary["failed_points"] == 1
+    assert summary["rows"][0]["error"] == error[1]
 
 
 def test_sweep_seed_axis_runs_instances(tmp_path):

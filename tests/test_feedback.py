@@ -343,17 +343,17 @@ SAMPLED_BACKENDS = ("overlap_hadamard", "grad_fd", "grad_psr")
 
 @pytest.mark.parametrize("backend", SAMPLED_BACKENDS)
 def test_sampled_runs_check_strings_and_keys_once(backend, monkeypatch):
-    """A sampled run checks no string and no key list; each table mixes its keys once.
+    """A sampled run checks no string; each table mixes its keys once.
 
-    The strings were checked when their sums were built and the keys are
-    the terms' positions, so the table route calls neither check.  Key
-    mixes are counted at depth 4 and at depth 8 from fresh tables: one
-    per table and entropy length, however many layers run.
+    The strings were checked when their sums were built, so the table
+    route checks none.  Key mixes are counted at depth 4 and at depth 8
+    from fresh tables: one per table and entropy length, however many
+    layers run.
     """
     from feedbackq import sampling
 
-    counts = {"strings": 0, "key_lists": 0, "mixes": 0}
-    refuse, check_keys, key_mix = sampling._refuse_identity, sampling._check_batch_keys, sampling._key_mix
+    counts = {"strings": 0, "mixes": 0}
+    refuse, key_mix = sampling._refuse_identity, sampling._key_mix
 
     def counted(name, fn):
         def wrapper(*args):
@@ -362,20 +362,19 @@ def test_sampled_runs_check_strings_and_keys_once(backend, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sampling, "_refuse_identity", counted("strings", refuse))
-    monkeypatch.setattr(sampling, "_check_batch_keys", counted("key_lists", check_keys))
     monkeypatch.setattr(sampling, "_key_mix", counted("mixes", key_mix))
     h0 = build_ising(random_ising(3, 0))
     ground = reference_spectrum(h0, count=1)[0]
     seen = []
     for depth in (4, 8):
-        counts.update(strings=0, key_lists=0, mixes=0)
+        counts.update(strings=0, mixes=0)
         p_op = ShiftedOperator(h0, [Shift(4.0, ground[1], ground[0])])
         cfg = FeedbackConfig(dt=0.05, gains=(1.0,) * 3, depth=depth, backend=backend,
                              budget=ShotBudget(200, seed=derive_seed(9, "shots")))
         run_fqae(h0, standard_controls("y_per_qubit", 3), p_op, StateVector.plus(3), cfg)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["strings"] == seen[0]["key_lists"] == 0
+    assert seen[0]["strings"] == 0
     # One table per channel's commutator on the overlap route, the drift's on the others.
     assert seen[0]["mixes"] == (3 if backend == "overlap_hadamard" else 1)
 
@@ -425,8 +424,10 @@ def test_sampled_runs_key_draws_per_block(backend, monkeypatch):
 def test_key_tables_do_not_grow_with_depth(monkeypatch):
     """Every block's key table has one size at any depth, and a run keeps at most two alive.
 
-    A table is built when the previous one is still bound, and dropped
-    when the next one replaces it.
+    A table keys its suffixes as the block's layers ask for them, so its
+    size is read when it is dropped, once its block has run.  A table is
+    built when the previous one is still bound, and dropped when the
+    next one replaces it.
     """
     import weakref
 
@@ -440,8 +441,10 @@ def test_key_tables_do_not_grow_with_depth(monkeypatch):
             super().__init__(*args)
             alive.append(sum(ref() is not None for ref in refs))
             refs.append(weakref.ref(self))
-            sizes.append(self.singles.nbytes + sum(
-                keys.nbytes for entry in self.batches.values() for _, keys in entry))
+
+        def __del__(self):
+            sizes.append(sum(keys.nbytes for keys in self.singles.values())
+                         + sum(keys.nbytes for _, keys in self.batches.values()))
 
     monkeypatch.setattr(feedback, "KeyTable", Recorded)
     for backend in ("overlap_hadamard", "grad_psr"):
@@ -745,6 +748,25 @@ def test_backend_failure_carries_partial_trace():
     partial = err.value.partial
     assert partial.depth == 1
     assert np.all(partial.controls[0] == 0.0)
+
+
+@pytest.mark.parametrize("dt, gain, layer", [(1e308, 1.5, 1), (1e154, 1e154, 2)])
+def test_failed_layer_step_carries_partial_trace(dt, gain, layer):
+    """A drift or control angle that overflows fails its layer with the completed layers' trace.
+
+    dt = 1e308 overflows the first drift step; dt = gains = 1e154 passes
+    layer 1 and overflows the control step of layer 2.
+    """
+    cfg = bench_config(dt=dt, gains=(gain, gain), depth=5)
+    with pytest.raises(FeedbackRunError, match=f"layer step failed at layer {layer}: ") as err:
+        run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), cfg)
+    partial = err.value.partial
+    assert partial.depth == layer - 1
+    completed = StateVector.plus(2)
+    if layer > 1:
+        cfg = bench_config(dt=dt, gains=(gain, gain), depth=layer - 1)
+        completed = run_fqae(BENCH, Y_CTRLS, bench_p(), completed, cfg).final_state
+    assert np.array_equal(partial.final_state.amps, completed.amps)
 
 
 def test_abort_on_increase_truncates():

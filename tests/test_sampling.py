@@ -115,12 +115,10 @@ def test_streams_match_numpy_keying(seed, first, second, shots, p, k):
 @example(seed=2**100 + 3, prefix=[1, "h0"], shots=200,
          draws=[(k, k / 20) for k in range(20)] + [(2**32 - 1, 1.0)])
 def test_split_binomials_match_per_split_draws(seed, prefix, shots, draws):
-    """A batch draws what one split per key draws, and what numpy's keying draws."""
+    """One split per key draws what numpy's keying draws."""
     budget = ShotBudget(shots, seed).split(*prefix)
-    keys = [k for k, _ in draws]
     want = [philox_stream(seed, budget.path + (k,)).binomial(shots, p) for k, p in draws]
     assert [budget.split(k).binomial(p) for k, p in draws] == want
-    assert budget.split_binomials(keys, [p for _, p in draws]) == want
 
 
 def _philox_key(seed, path):
@@ -137,22 +135,23 @@ term_sums = st.tuples(st.sets(st.sampled_from(_STRINGS[1:]), max_size=5), st.boo
 @given(seed=seeds, prefix=st.lists(path_keys, max_size=6),
        first=st.one_of(st.just(2**32 - 3), st.integers(0, 2**32 - 3)),
        channels=st.integers(1, 3),
-       singles=st.lists(st.lists(path_keys, min_size=1, max_size=4).map(tuple), max_size=4),
+       singles=st.lists(st.lists(path_keys, max_size=4).map(tuple), max_size=4),
        sums=st.lists(st.tuples(st.lists(path_keys, min_size=1, max_size=3).map(tuple), term_sums,
                                term_sums), max_size=2, unique_by=lambda drawn: drawn[0]))
 @example(seed=2**64 + 5, prefix=[], first=0, channels=2, singles=[("ctrl", 0, 0, 1)],
          sums=[(("comm",), PauliSum([("XZ", 1.0), ("ZY", 2.0)]), PauliSum([("XX", 1.0)]))])
 def test_key_table_holds_numpy_keys(seed, prefix, first, channels, singles, sums):
-    """Every key a table holds is the Philox key of SeedSequence(seed, spawn_key=path).
+    """Every key a table gives is the Philox key of SeedSequence(seed, spawn_key=path).
 
-    A table keys three layers of every channel below a root budget: its
-    single-draw suffixes, and each sum's term streams, with channels
-    alternating between two term tables.  Paths it does not hold miss.
+    A table holds three layers of every channel below a root budget and
+    keys each suffix on its first lookup: single draws (the empty suffix
+    is the call's own path), and each sum's term streams, with channels
+    alternating between two term tables.  Paths outside the block miss.
     """
     root = ShotBudget(10, seed).split(*prefix)
     batches = [(suffix, [TermTable(h) for h in pair] * channels) for suffix, *pair in sums]
     batches = [(suffix, tables[:channels]) for suffix, tables in batches]
-    table = KeyTable(root, first, 3, channels, singles, batches)
+    table = KeyTable(root, first, 3, channels)
     for layer, q in itertools.product(range(first, first + 3), range(channels)):
         call = root.split(layer, q)
         for suffix in singles:
@@ -162,23 +161,62 @@ def test_key_table_holds_numpy_keys(seed, prefix, first, channels, singles, sums
             path = call.split(*suffix).path
             keys = table.batch(path, tables[q])
             assert keys.tolist() == [_philox_key(seed, path + (k,)) for k in tables[q].keys]
-            assert table.batch(path, TermTable(tables[q].sum)) is None
     for layer, q in ((first - 1, 0), (first + 3, 0), (first, channels)):
         for suffix in singles:
             assert table.single(root.split(layer, q, *suffix).path) is None
-    assert table.single(root.split(first, 0, "unheld", 7).path) is None
+        for suffix, tables in batches:
+            assert table.batch(root.split(layer, q, *suffix).path, tables[0]) is None
 
 
-def test_split_binomials_refuse_keys_past_one_word():
-    budget = ShotBudget(10, seed=1).split("comm")
-    for key in (2**32, 2**64 - 1, -1, True, "0", 1.0, [1]):
-        with pytest.raises(ValueError):
-            budget.split_binomials([0, key], [0.5, 0.5])
-    # Validated key lists are kept, but True and 1.0 equal and hash as 1.
-    assert len(budget.split_binomials([0, 1], [0.5, 0.5])) == 2
-    for key in (True, 1.0):
-        with pytest.raises(ValueError):
-            budget.split_binomials([0, key], [0.5, 0.5])
+def _key_block():
+    """A key table of layers 5-8 and channels 0-2 below a split root."""
+    root = ShotBudget(10, 2**64 + 7).split("run", 2)
+    return root, KeyTable(root, 5, 4, 3)
+
+
+def test_key_table_keys_a_suffix_first_asked_at_the_last_layer():
+    """A suffix first asked for at the block's last layer is keyed for every layer."""
+    root, table = _key_block()
+    terms = TermTable(PauliSum([("XZ", 1.0), ("ZY", 2.0), ("II", 0.5)]))
+    last = root.split(8, 2, "ctrl", 1, 0, 1).path
+    assert table.single(last) == _philox_key(root.seed, last)
+    sum_path = root.split(8, 1, 0, "h0").path
+    assert table.batch(sum_path, terms).tolist() == [_philox_key(root.seed, sum_path + (k,))
+                                                     for k in terms.keys]
+    for layer, q in itertools.product(range(5, 9), range(3)):
+        path = root.split(layer, q, "ctrl", 1, 0, 1).path
+        assert table.single(path) == _philox_key(root.seed, path)
+    for layer in range(5, 9):
+        path = root.split(layer, 1, 0, "h0").path
+        assert table.batch(path, terms).tolist() == [_philox_key(root.seed, path + (k,))
+                                                     for k in terms.keys]
+    assert len(table.singles) == len(table.batches) == 1
+
+
+def test_key_table_rekeys_a_slot_for_another_term_table():
+    """Another term table on a held slot is keyed anew, and its keys are numpy's."""
+    root, table = _key_block()
+    one = TermTable(PauliSum([("XZ", 1.0), ("ZY", 2.0)]))
+    other = TermTable(PauliSum([("XX", 1.0), ("YI", 1.0), ("IZ", 3.0)]))
+    for terms in (one, other, TermTable(one.sum), one):
+        for layer in range(5, 9):
+            path = root.split(layer, 0, "comm").path
+            assert table.batch(path, terms).tolist() == [_philox_key(root.seed, path + (k,))
+                                                         for k in terms.keys]
+    # The slot holds one table's keys at a time.
+    assert len(table.batches) == 1
+
+
+def test_key_table_misses_paths_outside_its_block():
+    """A path below another layer or channel misses and keys nothing."""
+    root, table = _key_block()
+    terms = TermTable(PauliSum([("XZ", 1.0)]))
+    outside = [root.split(4, 0, "ref", 0, 1), root.split(9, 0, "ref", 0, 1),
+               root.split(5, 3, "ref", 0, 1), root.split(2**40, 0), root.split(8, 2**40, "h0")]
+    for budget in outside:
+        assert table.single(budget.path) is None
+        assert table.batch(budget.path, terms) is None
+    assert not table.singles and not table.batches
 
 
 def test_exact_budget_split_is_the_budget_itself():
