@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import math
 import os
@@ -63,7 +64,7 @@ from .models import (
     random_mfi,
     standard_controls,
 )
-from .pauli import PauliSum, parse_sum
+from .pauli import PauliSum, one_norm, parse_sum
 from .sampling import ShotBudget, derive_seed
 from .states import (
     DEGENERACY_TOL,
@@ -84,7 +85,6 @@ DEFAULT_DT_LADDER = (
     0.05, 0.04, 0.03, 0.025, 0.02, 0.015, 0.012, 0.01, 0.009, 0.008,
     0.007, 0.006, 0.005, 0.004, 0.003, 0.002, 0.0015, 0.001,
 )
-ELEMENT_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -117,7 +117,7 @@ def _load_config(args) -> Tuple[dict, Path]:
     malformed block fails as it would without the flag.
     """
     path = Path(args.config)
-    doc = _load_json(path)
+    doc = _value(_load_json(path), "", dict)
     edits = {"seed": args.seed, "output": args.out, "count": getattr(args, "count", None)}
     doc.update((key, value) for key, value in edits.items() if value is not None)
     sweep, feedback = doc.get("sweep"), doc.get("feedback")
@@ -144,6 +144,22 @@ RETIRED = {
     },
 }
 
+# The keys each block may set; a config error names any other.  A field's
+# kind and default stay where it is read.  The sweep's retired 'alpha',
+# 'gain' and 'depth' pass where they repeat the config (`_check_retired_keys`).
+KEYS = {
+    "": {"seed", "model", "controls", "feedback", "alpha", "target", "initial_state",
+         "output", "count", "stages", "sweep"},
+    "model": {"family", "n", "couplings", "fields", "instance_seed", "J", "h", "g", "R",
+              "table", "terms"},
+    "feedback": {"dt", "gains", "depth", "backend", "shots", "trotter_slices",
+                 "abort_on_increase"},
+    "alpha": {"strategy", "values", "start"},
+    "stages": {"initial_state", "dt", "depth", "trotter_slices", "gains"},
+    "sweep": {"axis", "values", "instances", "dt_candidates", "monotone_tolerance",
+              "alpha", "gain", "depth"},
+}
+
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 _REQUIRED = object()
 
@@ -168,17 +184,25 @@ def _value(value, name: str, kind):
 
     int takes a JSON integer or an integral float and float a finite
     number; neither takes a boolean or a string.  str takes a string,
-    dict an object that sets none of the `RETIRED` keys of block `name`,
-    and `[kind]` a list of `kind` values.
+    dict an object that sets only `KEYS` of block `name` ("stages" for
+    "stages[i]") and none of its `RETIRED` ones, and `[kind]` a list of
+    `kind` values.
     """
     if isinstance(kind, list):
         if isinstance(value, list):
             return [_value(v, f"{name}[{i}]", kind[0]) for i, v in enumerate(value)]
     elif kind is dict:
         if isinstance(value, dict):
-            for key, reason in RETIRED.get(name, {}).items():
+            block = name.split("[")[0]
+            for key, reason in RETIRED.get(block, {}).items():
                 if key in value:
                     raise ConfigError(f"'{name}.{key}' is retired: {reason}")
+            for key in value:
+                if key not in KEYS[block]:
+                    near = difflib.get_close_matches(key, KEYS[block], n=1)
+                    hint = f"; did you mean '{near[0]}'?" if near else ""
+                    dotted = f"{name}.{key}" if name else key
+                    raise ConfigError(f"unknown key '{dotted}'{hint}")
             return value
     elif kind is str:
         if isinstance(value, str):
@@ -582,6 +606,9 @@ def cmd_spectrum(args) -> int:
         {
             "model": exp.model_meta,
             "controls": exp.control_kind,
+            "backend": exp.config.backend,
+            "shots": exp.config.budget.shots,
+            "seed": exp.seed,
             "count": count,
             "energies": [float(s.energy) for s in stages],
             "reference_energies": [float(e) for e, _ in reference],
@@ -782,30 +809,45 @@ def cmd_validate(args) -> int:
     gap_clashes = _gap_clashes(eigenvalues)
     assumption1 = gap_clashes == 0
 
-    channel_reports = []
-    for idx, h_ctrl in enumerate(exp.controls):
-        zero_pairs = 0
-        for start, block in matrix_element_blocks(h_ctrl, vectors):
-            zeros = np.abs(block) <= ELEMENT_TOL
-            cols = np.arange(block.shape[1])
-            zeros[start + cols, cols] = False  # the block's diagonal entries
-            zero_pairs += int(np.count_nonzero(zeros))
-        channel_reports.append(
-            {
-                "channel": idx + 1,
-                "fully_connected": zero_pairs == 0,
-                "zero_offdiagonal_pairs": zero_pairs // 2,
-            }
-        )
-    assumption2 = all(c["fully_connected"] for c in channel_reports)
-
     # Each shifted state is a drift eigenvector, so P is diagonal in the
     # drift eigenbasis: its spectrum is the drift's with alpha_k added to E_k.
-    p_eigenvalues = eigenvalues.copy()
-    p_eigenvalues[:target] += alphas
-    p_eigenvalues.sort()
-    min_gap = float(np.min(np.diff(p_eigenvalues))) if len(p_eigenvalues) > 1 else math.inf
+    p_values = eigenvalues.copy()
+    p_values[:target] += alphas
+    order = np.argsort(p_values, kind="stable")
+    gaps = np.diff(p_values[order])
+    min_gap = float(np.min(gaps)) if len(gaps) else math.inf
     assumption3 = min_gap > DEGENERACY_TOL
+
+    # P's levels group its sorted values within DEGENERACY_TOL.  Two levels
+    # are connected when some channel's block between them has a Frobenius
+    # norm above 1e-8 * one_norm(H_q), which no rotation inside a level changes.
+    level = np.empty_like(order)
+    level[order] = np.cumsum(np.r_[0, gaps > DEGENERACY_TOL])
+    size = int(level.max()) + 1
+    connected = np.eye(size, dtype=bool)
+    row_pairs = level[:, None] * size
+    for h_ctrl in exp.controls:
+        weight = np.zeros(size * size)  # squared block norms, [row level, column level]
+        for start, block in matrix_element_blocks(h_ctrl, vectors):
+            squares = np.abs(block)
+            squares *= squares
+            pair = row_pairs + level[start:start + block.shape[1]]
+            np.add.at(weight, pair.ravel(), squares.ravel())
+        connected |= (weight > (1e-8 * one_norm(h_ctrl)) ** 2).reshape(size, size)
+    low, high = np.nonzero(np.triu(~(connected | connected.T)))
+    # At most 10 unconnected pairs, those with the target's level first.
+    listed = np.argsort((low != level[target]) & (high != level[target]), kind="stable")[:10]
+
+    def describe(a: int) -> Tuple[float, int, Optional[str]]:
+        """Level `a`'s P value, multiplicity and, if single, dominant basis state."""
+        members = np.flatnonzero(level == a)
+        weights = np.abs(vectors[:, members[0]]) ** 2
+        # Weights equal to rounding go to the lowest basis index.
+        state = format(np.argmax(weights > weights.max() - 1e-9), f"0{exp.n}b")
+        return float(p_values[members[0]]), len(members), state if len(members) == 1 else None
+
+    pairs = [dict(zip(("p_values", "multiplicities", "states"), zip(describe(a), describe(b))))
+             for a, b in zip(low[listed], high[listed])]
 
     sufficiency = []
     for k, alpha in enumerate(alphas):
@@ -824,7 +866,8 @@ def cmd_validate(args) -> int:
         "controls": exp.control_kind,
         "target": target,
         "assumption1_distinct_gaps": {"holds": assumption1, "coincident_gap_pairs": gap_clashes},
-        "assumption2_fully_connected": {"holds": assumption2, "channels": channel_reports},
+        "assumption2_fully_connected": {"holds": not len(low), "pairs": pairs,
+                                        "unconnected_level_pairs": len(low)},
         "assumption3_nondegenerate_shifted": {"holds": assumption3, "min_gap": min_gap},
         "alpha_sufficiency": sufficiency,
         "note": "informational only; violations do not block runs",
@@ -833,12 +876,11 @@ def cmd_validate(args) -> int:
     _write_json(out, report)
 
     print(f"assumption 1 (distinct drift gaps): {'holds' if assumption1 else 'violated'}")
-    print(f"assumption 2 (fully connected controls): {'holds' if assumption2 else 'violated'}")
-    for entry in channel_reports:
-        print(
-            f"  channel {entry['channel']}: "
-            f"{entry['zero_offdiagonal_pairs']} zero off-diagonal pairs"
-        )
+    verdict = f"violated ({len(low)} unconnected pairs)" if len(low) else "holds"
+    print(f"assumption 2 (controls connect every pair of P levels): {verdict}")
+    for pair in pairs:
+        levels = [f"P {v:.6g} " + (f"|{s}>" if s else f"(x{m})") for v, m, s in zip(*pair.values())]
+        print("  " + " and ".join(levels))
     print(
         f"assumption 3 (non-degenerate shifted spectrum): "
         f"{'holds' if assumption3 else 'violated'} (min gap {min_gap:.3e})"

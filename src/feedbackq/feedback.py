@@ -685,14 +685,21 @@ def tune_time_step(
     `run_at(dt)` executes every instance at that time step (abort-early
     configs keep rejected candidates cheap) and returns their traces;
     a candidate is accepted when no trace rose by more than `tolerance`
-    at any layer and none aborted.  Candidates are tried in descending
-    order; the first acceptance wins.
+    at any layer and none aborted.  A candidate whose `run_at` raises
+    `FeedbackRunError` is rejected too.  Candidates are tried in
+    descending order; the first acceptance wins.  When none is accepted,
+    the RuntimeError names the last such failure, if any.
     """
+    failure = ""
     for dt in sorted(candidates, reverse=True):
-        traces = run_at(dt)
+        try:
+            traces = run_at(dt)
+        except FeedbackRunError as exc:
+            failure = f"; the last failed run, at dt = {dt:g}: {exc}"
+            continue
         ok = all(
             t.aborted_layer is None and t.max_lyapunov_increase() <= tolerance for t in traces
         )
         if ok:
             return dt, traces
-    raise RuntimeError("no candidate time step satisfied the descent condition")
+    raise RuntimeError("no candidate time step satisfied the descent condition" + failure)

@@ -494,19 +494,79 @@ def test_validate_reports_assumptions(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads((tmp_path / "val_validate.json").read_text())
     # coincident gaps (two pairs differ by 3) break assumption 1
-    assert report["assumption1_distinct_gaps"]["holds"] is False
-    # every single-qubit Y leaves some basis pairs unconnected
-    assert report["assumption2_fully_connected"]["holds"] is False
-    assert all(
-        c["zero_offdiagonal_pairs"] > 0
-        for c in report["assumption2_fully_connected"]["channels"]
-    )
+    assert report["assumption1_distinct_gaps"] == {"holds": False, "coincident_gap_pairs": 1}
+    # Two single-qubit Y channels connect only states one bit flip apart:
+    # the target's level first, then the rest.
+    assert report["assumption2_fully_connected"] == {
+        "holds": False,
+        "unconnected_level_pairs": 2,
+        "pairs": [
+            {"p_values": [-1.5, 0.5], "multiplicities": [1, 1], "states": ["01", "10"]},
+            {"p_values": [3.5, 4.5], "multiplicities": [1, 1], "states": ["00", "11"]},
+        ],
+    }
     # the shifted operator with alpha=7 has spectrum -1.5, 0.5, 3.5, 4.5
     assert report["assumption3_nondegenerate_shifted"]["holds"] is True
     assert report["assumption3_nondegenerate_shifted"]["min_gap"] == pytest.approx(1.0)
     assert report["alpha_sufficiency"][0]["sufficient"] is True
     text = capsys.readouterr().out
     assert "assumption 1" in text and "violated" in text
+    assert "  P -1.5 |01> and P 0.5 |10>\n  P 3.5 |00> and P 4.5 |11>\n" in text
+
+
+def test_validate_one_connected_qubit_holds(tmp_path):
+    """Y connects the two levels of Z, so no pair is left unconnected."""
+    doc = {
+        "model": {"family": "pauli", "terms": "1.0*Z"},
+        "controls": "y_per_qubit",
+        "feedback": {"dt": 0.1, "depth": 5},
+    }
+    cfg = write_doc(tmp_path, doc)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "one")]) == EXIT_OK
+    report = json.loads((tmp_path / "one_validate.json").read_text())
+    assert report["assumption2_fully_connected"] == {
+        "holds": True, "unconnected_level_pairs": 0, "pairs": [],
+    }
+
+
+def _close(a, b, tol):
+    """Equal structures whose floats differ by at most `tol`."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _close(a[k], b[k], tol) for k in a
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(
+            _close(x, y, tol) for x, y in zip(a, b)
+        )
+    if isinstance(a, float):
+        return isinstance(b, float) and abs(a - b) <= tol
+    return a == b
+
+
+def test_validate_report_does_not_depend_on_blas_threads(tmp_path):
+    """Connectivity is counted per pair of P levels, which no rotation inside
+    a degenerate level changes, so the BLAS thread count leaves it alone."""
+    import feedbackq
+
+    doc = json.loads((CONFIG_DIR / "mfi_run.json").read_text())
+    doc["model"]["n"] = 9
+    cfg = write_doc(tmp_path, doc)
+    # the subprocesses import the same package source as this test
+    src = str(Path(feedbackq.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = str(tmp_path / f"threads{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "feedbackq", "validate", "--config", cfg, "--out", out],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        reports.append(json.loads(Path(out + "_validate.json").read_text()))
+    connectivity = reports[0]["assumption2_fully_connected"]
+    assert connectivity["unconnected_level_pairs"] > 0 and len(connectivity["pairs"]) == 10
+    assert _close(reports[0], reports[1], 1e-10)
 
 
 def test_validate_rejects_large_models(tmp_path, capsys):
@@ -608,14 +668,25 @@ def test_failed_layer_step_exits_with_partial_trace(tmp_path, capsys):
 
 
 def test_sweep_records_a_failed_layer_step_as_nan(tmp_path, capsys):
-    """A dt candidate whose drift angle overflows fails its point as a NaN row, and the sweep exits 1."""
+    """A dt candidate whose drift angle overflows is rejected and the next one
+    runs; with no candidate left the point is a NaN row, and the sweep exits 1."""
     doc = ising_sweep_doc("n", [2])
     doc["sweep"].update(alpha=4.0, dt_candidates=[1e308, 0.05])
     cfg = write_doc(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "next")]) == EXIT_OK
+    row = dict(zip(*read_rows(tmp_path / "next_sweep.csv")))
+    assert row["dt"] == "0.05" and row["instances"] == "2"
+
+    doc["sweep"]["dt_candidates"] = [1e308]
+    cfg = write_doc(tmp_path, doc)
+    capsys.readouterr()
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == EXIT_RUNTIME
     # The control angle overflows once |u| * dt passes the largest float.
-    error = re.fullmatch(r"point 2 failed: (layer step failed at layer \d+: math domain error)\n",
-                         capsys.readouterr().err)
+    error = re.fullmatch(
+        r"point 2 failed: (no candidate time step satisfied the descent condition; the last "
+        r"failed run, at dt = 1e\+308: layer step failed at layer \d+: math domain error)\n",
+        capsys.readouterr().err,
+    )
     assert error
     row = dict(zip(*read_rows(tmp_path / "sw_sweep.csv")))
     assert row["instances"] == "0" and row["mean_fidelity"] == "nan"
@@ -799,6 +870,53 @@ def test_shipped_configs_parse(tmp_path):
         else:
             experiments = [cli.Experiment(doc, CONFIG_DIR)]
         assert experiments and all(exp.controls for exp in experiments), name
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_set_only_known_keys(path):
+    """Every block a shipped config sets passes the key check."""
+    from feedbackq import cli
+
+    doc = cli._value(cli._load_json(path), "", dict)
+    for block in ("model", "feedback", "alpha", "sweep"):
+        cli._field(doc, block, "", dict, None)
+    cli._field(doc, "stages", "", [dict], None)
+
+
+@pytest.mark.parametrize("command, doc, key, nearest", [
+    ("run", dict(bench_doc(), seeed=3), "seeed", "seed"),
+    ("run", bench_doc(model=dict(bench_doc()["model"], feilds=[1.0, 2.0])), "model.feilds",
+     "fields"),
+    ("run", bench_doc(feedback=dict(FEEDBACK, bakend="grad_fd")), "feedback.bakend", "backend"),
+    ("run", bench_doc(alpha={"strategy": "fixed", "valeus": [7.0]}), "alpha.valeus", "values"),
+    ("spectrum", bench_doc(count=2, stages=[{}, {"dpeth": 5}]), "stages[1].dpeth", "depth"),
+    ("sweep", dict(ising_sweep_doc("seed", [0]), sweep={"axis": "seed", "values": [0],
+                                                        "instance": 2}),
+     "sweep.instance", "instances"),
+])
+def test_misspelt_config_key_is_a_config_error(tmp_path, capsys, command, doc, key, nearest):
+    """A key outside its block's set exits 2, names itself and its nearest
+    valid key, and writes no output."""
+    cfg = write_doc(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "typo")]) == EXIT_CONFIG
+    assert f"unknown key '{key}'; did you mean '{nearest}'?" in capsys.readouterr().err
+    assert not list(tmp_path.glob("typo*"))
+
+
+def test_spectrum_records_backend_shots_and_seed(tmp_path):
+    """The spectrum JSON says how its energies were estimated, as a run summary does."""
+    doc = json.loads((CONFIG_DIR / "h2_spectrum.json").read_text())
+    doc["feedback"]["backend"] = "overlap_hadamard"
+    cfg = write_doc(tmp_path, doc)
+    argv = ["spectrum", "--config", cfg, "--out", str(tmp_path / "sampled"), "--shots", "100"]
+    assert main(argv) == EXIT_OK
+    summary = json.loads((tmp_path / "sampled_spectrum.json").read_text())
+    assert (summary["backend"], summary["shots"], summary["seed"]) == ("overlap_hadamard", 100, 0)
+
+    cfg = str(CONFIG_DIR / "h2_spectrum.json")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "exact")]) == EXIT_OK
+    summary = json.loads((tmp_path / "exact_spectrum.json").read_text())
+    assert (summary["backend"], summary["shots"], summary["seed"]) == ("exact", None, 0)
 
 
 def test_sweep_seed_axis_honours_exact_and_shots(tmp_path):

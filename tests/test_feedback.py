@@ -913,6 +913,27 @@ def test_tuner_returns_largest_descending_step():
         tune_time_step(run_at, [0.9], tolerance=1e-9)
 
 
+def test_tuner_rejects_a_candidate_whose_run_fails():
+    """A FeedbackRunError rejects its candidate; the search goes on and, when
+    no candidate is left, names the last failure."""
+    partial = run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=1))
+
+    def run_at(dt):
+        if dt > 0.1:
+            raise FeedbackRunError(f"step failed at dt {dt}", partial)
+        return [run_fqae(BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(dt=dt))]
+
+    dt, traces = tune_time_step(run_at, [0.9, 0.5, 0.08], tolerance=1e-9)
+    assert dt == 0.08 and traces[0].max_lyapunov_increase() <= 1e-9
+    with pytest.raises(RuntimeError) as failed:
+        tune_time_step(run_at, [0.5, 0.9], tolerance=1e-9)
+    assert type(failed.value) is RuntimeError
+    assert str(failed.value) == (
+        "no candidate time step satisfied the descent condition; "
+        "the last failed run, at dt = 0.5: step failed at dt 0.5"
+    )
+
+
 def test_trace_depth_and_monitors():
     trace = run_fqae(
         BENCH, Y_CTRLS, bench_p(), StateVector.plus(2), bench_config(depth=7)
